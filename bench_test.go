@@ -9,6 +9,7 @@
 package guardedop_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -36,7 +37,7 @@ func reportCurveMetrics(b *testing.B, curves []experiments.Curve) {
 func BenchmarkTable1RMGdMeasures(b *testing.B) {
 	phis := []float64{1000, 3000, 5000, 7000, 9000, 10000}
 	for i := 0; i < b.N; i++ {
-		ms, err := experiments.Table1Measures(phis)
+		ms, err := experiments.Table1Measures(context.Background(), phis)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -74,7 +75,7 @@ func BenchmarkTable3BaseSolve(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		r, err := a.Evaluate(7000)
+		r, err := a.EvaluateContext(context.Background(), 7000)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -195,7 +196,7 @@ func BenchmarkSafeguardCosts(b *testing.B) {
 // BenchmarkAblationGamma regenerates the γ-policy ablation curves.
 func BenchmarkAblationGamma(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		curves, err := experiments.GammaAblation()
+		curves, err := experiments.GammaAblation(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -222,7 +223,7 @@ func BenchmarkAblationPhases(b *testing.B) {
 // tornado around the Table 3 base point.
 func BenchmarkSensitivityTornado(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		results, err := sensitivity.Analyze(mdcd.DefaultParams(), sensitivity.Options{})
+		results, err := sensitivity.Analyze(context.Background(), mdcd.DefaultParams(), sensitivity.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -235,7 +236,7 @@ func BenchmarkSensitivityTornado(b *testing.B) {
 // BenchmarkAblationRecovery regenerates the imperfect-recovery ablation.
 func BenchmarkAblationRecovery(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.RecoveryAblation([]float64{1.0, 0.5})
+		rows, err := experiments.RecoveryAblation(context.Background(), []float64{1.0, 0.5})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -249,7 +250,7 @@ func BenchmarkAblationRecovery(b *testing.B) {
 // upgrade study on the 4-process RMNdN extension.
 func BenchmarkExtensionStagger(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.StaggerStudy(mdcd.DefaultParams(), 4)
+		rows, err := experiments.StaggerStudy(context.Background(), mdcd.DefaultParams(), 4)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -267,7 +268,7 @@ func BenchmarkExtensionStagger(b *testing.B) {
 // propagation of mu_new through the decision (reduced sample count).
 func BenchmarkExtensionUncertainty(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		prop, _, err := experiments.UncertaintyStudy(
+		prop, _, err := experiments.UncertaintyStudy(context.Background(),
 			uncertainty.Gamma{Shape: 2, Rate: 1e4}, 0, 10000,
 			uncertainty.PropagateOptions{Samples: 40, Seed: 3, GridPoints: 10})
 		if err != nil {
@@ -288,7 +289,7 @@ func benchmarkPropagate200(b *testing.B, workers int) {
 	p := mdcd.DefaultParams()
 	posterior := uncertainty.Gamma{Shape: 4, Rate: 4e4}
 	for i := 0; i < b.N; i++ {
-		prop, err := uncertainty.Propagate(p, posterior, uncertainty.PropagateOptions{
+		prop, err := uncertainty.PropagateContext(context.Background(), p, posterior, uncertainty.PropagateOptions{
 			Samples: 200, Seed: 3, GridPoints: 20, Workers: workers,
 		})
 		if err != nil {
@@ -312,7 +313,7 @@ func BenchmarkPropagate200Parallel(b *testing.B) { benchmarkPropagate200(b, 0) }
 func BenchmarkExtensionValidation(b *testing.B) {
 	prior := uncertainty.Gamma{Shape: 2, Rate: 1e4}
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.ValidationStudy(prior, []float64{0, 40000},
+		rows, err := experiments.ValidationStudy(context.Background(), prior, []float64{0, 40000},
 			uncertainty.PropagateOptions{Samples: 30, Seed: 5, GridPoints: 10})
 		if err != nil {
 			b.Fatal(err)
@@ -332,7 +333,7 @@ func BenchmarkOptimizePhi(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		best, err := a.OptimizePhi(core.OptimizeOptions{})
+		best, err := a.OptimizePhiContext(context.Background(), core.OptimizeOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -351,7 +352,7 @@ func BenchmarkSimulationCrossCheck(b *testing.B) {
 		b.Fatal(err)
 	}
 	rho1, rho2 := analyzer.Rho()
-	ana, err := analyzer.Evaluate(600)
+	ana, err := analyzer.EvaluateContext(context.Background(), 600)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -231,7 +231,7 @@ func run(args []string) (err error) {
 		if !ok {
 			return fmt.Errorf("unknown experiment %q (use -list)", *experiment)
 		}
-		return e.Run(os.Stdout)
+		return e.Run(ctx, os.Stdout)
 
 	case *scenarioF != "":
 		return scenarioSweep(ctx, *scenarioF, sweepConfig{

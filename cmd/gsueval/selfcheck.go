@@ -71,7 +71,7 @@ func simCrossCheck(ctx context.Context, w io.Writer) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		ana, err := analyzer.Evaluate(phi)
+		ana, err := analyzer.EvaluateContext(ctx, phi)
 		if err != nil {
 			return fmt.Errorf("simulator cross-check: phi=%g: %w", phi, err)
 		}

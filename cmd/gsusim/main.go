@@ -133,7 +133,7 @@ func run(args []string) (err error) {
 		if !ok {
 			return fmt.Errorf("valsim experiment not registered")
 		}
-		return e.Run(os.Stdout)
+		return e.Run(ctx, os.Stdout)
 	}
 	rows, err := experiments.RunValsimContext(ctx, cfg)
 	if err != nil {

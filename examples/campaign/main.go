@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -30,6 +31,7 @@ func main() {
 	rows := [][]string{{"cycle", "mu_new", "phi*", "Y(phi*)", "E[W] guarded", "E[W] unguarded", "worth gained"}}
 	var totalGuarded, totalUnguarded, totalIdeal float64
 
+	ctx := context.Background()
 	for i := 0; i < cycles; i++ {
 		p := mdcd.DefaultParams()
 		p.Theta = cycleLength
@@ -39,11 +41,11 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		best, err := analyzer.OptimizePhi(core.OptimizeOptions{Tolerance: 25})
+		best, err := analyzer.OptimizePhiContext(ctx, core.OptimizeOptions{Tolerance: 25})
 		if err != nil {
 			log.Fatal(err)
 		}
-		unguarded, err := analyzer.Evaluate(0)
+		unguarded, err := analyzer.EvaluateContext(ctx, 0)
 		if err != nil {
 			log.Fatal(err)
 		}

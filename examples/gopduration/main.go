@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -69,7 +70,7 @@ func main() {
 		if phi < 0 || phi > p.Theta {
 			continue
 		}
-		r, err := analyzer.Evaluate(phi)
+		r, err := analyzer.EvaluateContext(context.Background(), phi)
 		if err != nil {
 			log.Fatal(err)
 		}

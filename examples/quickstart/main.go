@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -60,14 +61,15 @@ func main() {
 	downtime := reward.NewStructure().Add("all down",
 		func(mk san.Marking) bool { return mk.Get(up) == 0 }, 1)
 
+	ctx := context.Background()
 	const t = 100.0
-	avail, err := reward.InstantOfTime(space, available, t)
+	avail, err := reward.InstantOfTime(ctx, space, available, t)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\navailability at t=%.0f h:        %.8f\n", t, avail)
 
-	expDown, err := reward.Accumulated(space, downtime, t)
+	expDown, err := reward.Accumulated(ctx, space, downtime, t)
 	if err != nil {
 		log.Fatal(err)
 	}

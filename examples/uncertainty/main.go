@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -34,7 +35,7 @@ func main() {
 	fmt.Printf("posterior mean mu_new: %.2e /h (after 10000 fault-free validation hours)\n\n",
 		posterior.Mean())
 
-	prop, err := uncertainty.Propagate(mdcd.DefaultParams(), posterior, uncertainty.PropagateOptions{
+	prop, err := uncertainty.PropagateContext(context.Background(), mdcd.DefaultParams(), posterior, uncertainty.PropagateOptions{
 		Samples: 300,
 		Seed:    7,
 	})

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -31,7 +32,7 @@ func main() {
 		cfg.Params.Theta, cfg.Params.Lambda, cfg.Params.MuNew, cfg.Params.Coverage)
 	fmt.Printf("replications: %d paths per phi\n\n", cfg.Paths)
 
-	rows, err := experiments.RunValsim(cfg)
+	rows, err := experiments.RunValsimContext(context.Background(), cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -79,7 +79,7 @@ func gridBench(name string, mode core.ParametricMode) Benchmark {
 	}
 }
 
-// evaluateBench measures the point-wise Evaluate path (memo caches cold,
+// evaluateBench measures the point-wise EvaluateContext path (memo caches cold,
 // 40 distinct φ) — the code the curve engine falls back to and the
 // optimizer leans on.
 func evaluateBench(name string, mode core.ParametricMode) Benchmark {

@@ -1,6 +1,7 @@
 package compose
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -231,7 +232,7 @@ func TestReplicateIndependentReplicasProductForm(t *testing.T) {
 	up0 := model.PlaceByName("rep0.up")
 	up1 := model.PlaceByName("rep1.up")
 	tEnd := 1.7
-	pBoth, err := reward.StateProbability(sp, func(mk san.Marking) bool {
+	pBoth, err := reward.StateProbability(context.Background(), sp, func(mk san.Marking) bool {
 		return mk.Get(up0) == 1 && mk.Get(up1) == 1
 	}, tEnd)
 	if err != nil {

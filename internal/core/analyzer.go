@@ -22,8 +22,8 @@ import (
 //
 // Grid evaluation (Curve and friends) runs on the shared-propagation curve
 // engine (engine.go); single-point evaluation memoizes its full-horizon
-// solves in bounded per-analyzer caches so OptimizePhi's refinement stage
-// and repeated Evaluate calls at overlapping φ hit cache.
+// solves in bounded per-analyzer caches so OptimizePhiContext's refinement
+// stage and repeated EvaluateContext calls at overlapping φ hit cache.
 type Analyzer struct {
 	params mdcd.Params
 
@@ -335,33 +335,23 @@ type Result struct {
 	PS1             float64         // P(S1) (Eq. 14)
 }
 
-// Evaluate computes Y(φ) and all intermediate quantities under the paper's
-// γ treatment. φ must lie in [0, θ].
-func (a *Analyzer) Evaluate(phi float64) (Result, error) {
-	return a.EvaluateWithPolicy(phi, GammaPaperTauBar)
+// EvaluateContext computes Y(φ) and all intermediate quantities under the
+// paper's γ treatment. φ must lie in [0, θ]. Spans, counters and cache
+// statistics report to the context's tracer/scope, so per-request and
+// per-benchmark observers see the evaluation's work attributed to them
+// rather than to the process at large.
+func (a *Analyzer) EvaluateContext(ctx context.Context, phi float64) (Result, error) {
+	return a.EvaluateWithPolicy(ctx, phi, GammaPaperTauBar)
 }
 
 // EvaluateWithPolicy computes Y(φ) under an explicit γ policy (used by the
-// ablation experiments; Evaluate uses the paper's policy). The full-horizon
-// solves go through the analyzer's bounded memo caches, so re-evaluating a
-// previously visited φ costs only dot products.
-func (a *Analyzer) EvaluateWithPolicy(phi float64, policy GammaPolicy) (Result, error) {
-	return a.evaluateCtx(context.Background(), phi, policy)
-}
-
-// EvaluateContext is Evaluate under a caller-carried context: spans,
-// counters and cache statistics report to the context's tracer/scope, so
-// per-request and per-benchmark observers see the evaluation's work
-// attributed to them rather than to the process at large.
-func (a *Analyzer) EvaluateContext(ctx context.Context, phi float64) (Result, error) {
-	return a.evaluateCtx(ctx, phi, GammaPaperTauBar)
-}
-
-// evaluateCtx is the cached point-wise evaluation path under a
-// caller-carried context: one "core.evaluate" span covers the call, and
-// the memo-cache hits/misses and any fill's solver passes report to the
-// context's scope/tracer.
-func (a *Analyzer) evaluateCtx(ctx context.Context, phi float64, policy GammaPolicy) (Result, error) {
+// ablation experiments; EvaluateContext uses the paper's policy). It is
+// the cached point-wise evaluation path: the full-horizon solves go
+// through the analyzer's bounded memo caches, so re-evaluating a
+// previously visited φ costs only dot products. One "core.evaluate" span
+// covers the call, and the memo-cache hits/misses and any fill's solver
+// passes report to the context's scope/tracer.
+func (a *Analyzer) EvaluateWithPolicy(ctx context.Context, phi float64, policy GammaPolicy) (Result, error) {
 	ctx, sp := obs.StartSpan(ctx, "core.evaluate")
 	defer sp.End()
 	sp.SetFloat("phi", phi)
@@ -436,12 +426,12 @@ func (a *Analyzer) parametricPoint(phi float64) (gdm mdcd.GdMeasures, pNewRem, p
 // transient or accumulated solve per constituent measure, exactly as the
 // analyzer evaluated a point before the curve engine existed. It anchors
 // the BenchmarkCurve* comparison and the engine equivalence tests.
-func (a *Analyzer) evaluatePointwise(phi float64, policy GammaPolicy) (Result, error) {
+func (a *Analyzer) evaluatePointwise(ctx context.Context, phi float64, policy GammaPolicy) (Result, error) {
 	p := a.params
 	if math.IsNaN(phi) || phi < 0 || phi > p.Theta {
 		return Result{}, fmt.Errorf("core: phi = %g out of [0, theta=%g]", phi, p.Theta)
 	}
-	gdm, err := a.gd.Measures(phi)
+	gdm, err := a.gd.MeasuresContext(ctx, phi)
 	if err != nil {
 		return Result{}, fmt.Errorf("core: RMGd measures at phi=%g: %w", phi, err)
 	}
@@ -571,7 +561,7 @@ func (r *Result) checkInvariants() error {
 
 // Curve evaluates Y at each φ in phis, failing on the first degenerate
 // point (the strict historical contract). Sweeps that should survive
-// degenerate regions use CurvePartial instead.
+// degenerate regions use CurvePartialWorkers instead.
 func (a *Analyzer) Curve(phis []float64) ([]Result, error) {
 	pr, err := a.curveBatch(context.Background(), phis, true, 1)
 	if err != nil {
@@ -584,23 +574,17 @@ func (a *Analyzer) Curve(phis []float64) ([]Result, error) {
 	return pr.Results, nil
 }
 
-// CurvePartial evaluates Y at each φ through the fault-tolerant batch
-// runner: a φ whose evaluation fails (degenerate measures, invariant
+// CurvePartialWorkers evaluates Y at each φ through the fault-tolerant
+// batch runner: a φ whose evaluation fails (degenerate measures, invariant
 // violation, non-finite solve) is skipped and recorded in the report
 // instead of aborting the sweep. The error is non-nil only when the
 // context is canceled or every point fails. A canceled sweep still
 // returns every point solved before the deadline in the PartialResult —
 // the completed prefix — alongside the ErrCanceled-wrapping error.
-// Points are evaluated on a worker pool using every core; use
-// CurvePartialWorkers to bound it.
-func (a *Analyzer) CurvePartial(ctx context.Context, phis []float64) (*robust.PartialResult[Result], error) {
-	return a.CurvePartialWorkers(ctx, phis, 0)
-}
-
-// CurvePartialWorkers is CurvePartial with an explicit worker-pool bound
-// (0 = every core, 1 = sequential). The Analyzer is immutable after
-// construction, so concurrent evaluation is safe and the sweep's results
-// and report are identical for every worker count.
+// The workers argument bounds the evaluation pool (0 = every core,
+// 1 = sequential). The Analyzer is immutable after construction, so
+// concurrent evaluation is safe and the sweep's results and report are
+// identical for every worker count.
 func (a *Analyzer) CurvePartialWorkers(ctx context.Context, phis []float64, workers int) (*robust.PartialResult[Result], error) {
 	pr, err := a.curveBatch(ctx, phis, false, workers)
 	if err != nil {
@@ -676,7 +660,7 @@ func (a *Analyzer) curveBatchPolicy(ctx context.Context, phis []float64, policy 
 			}
 			obs.AddEvent(ictx, "fallback_pointwise")
 			obs.Count(ictx, obs.CtrFallbackPoints, 1)
-			return a.evaluateCtx(ictx, pt.phi, policy)
+			return a.EvaluateWithPolicy(ictx, pt.phi, policy)
 		}
 		return a.assemble(pt.phi, policy, pt.gdm, pt.pNewRem, pt.pOldRem)
 	}, robust.BatchOptions{StopOnError: strict, Workers: workers})

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -24,7 +25,7 @@ func newAnalyzer(t *testing.T, mutate func(*mdcd.Params)) *Analyzer {
 // one by construction.
 func TestYAtPhiZeroIsOne(t *testing.T) {
 	a := newAnalyzer(t, nil)
-	r, err := a.Evaluate(0)
+	r, err := a.EvaluateContext(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +175,7 @@ func TestFigure12ShorterHorizon(t *testing.T) {
 func TestEvaluateRejectsBadPhi(t *testing.T) {
 	a := newAnalyzer(t, nil)
 	for _, phi := range []float64{-1, 10001, math.NaN()} {
-		if _, err := a.Evaluate(phi); err == nil {
+		if _, err := a.EvaluateContext(context.Background(), phi); err == nil {
 			t.Errorf("Evaluate(%v) accepted out-of-range phi", phi)
 		}
 	}
@@ -183,7 +184,7 @@ func TestEvaluateRejectsBadPhi(t *testing.T) {
 func TestResultInternalConsistency(t *testing.T) {
 	a := newAnalyzer(t, nil)
 	for _, phi := range []float64{0, 2500, 7000, 10000} {
-		r, err := a.Evaluate(phi)
+		r, err := a.EvaluateContext(context.Background(), phi)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -220,7 +221,7 @@ func TestYMonotoneInCoverage(t *testing.T) {
 	prev := -1.0
 	for _, c := range []float64{0.2, 0.5, 0.8, 0.95, 1.0} {
 		a := newAnalyzer(t, func(p *mdcd.Params) { p.Coverage = c })
-		r, err := a.Evaluate(6000)
+		r, err := a.EvaluateContext(context.Background(), 6000)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -240,11 +241,11 @@ func TestScalingSimilarity(t *testing.T) {
 	aTheta := newAnalyzer(t, func(p *mdcd.Params) { p.Theta = 5000 })
 	for i := 0; i <= 10; i++ {
 		frac := float64(i) / 10
-		rMu, err := aMu.Evaluate(10000 * frac)
+		rMu, err := aMu.EvaluateContext(context.Background(), 10000*frac)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rTheta, err := aTheta.Evaluate(5000 * frac)
+		rTheta, err := aTheta.EvaluateContext(context.Background(), 5000*frac)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"guardedop/internal/mdcd"
@@ -22,7 +23,7 @@ func BenchmarkEvaluate(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := a.Evaluate(7000); err != nil {
+		if _, err := a.EvaluateContext(context.Background(), 7000); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -79,7 +79,7 @@ func TestCurveCancelKeepsCompletedPrefix(t *testing.T) {
 			continue
 		}
 		checked++
-		want, err := a.Evaluate(grid[i])
+		want, err := a.EvaluateContext(context.Background(), grid[i])
 		if err != nil {
 			t.Fatalf("re-evaluating surviving point phi=%g: %v", grid[i], err)
 		}

@@ -68,7 +68,7 @@ func TestDegenerateParamsNeverPanicOrLeakNaN(t *testing.T) {
 			}
 			// Evaluate the boundary durations and an interior point.
 			for _, phi := range []float64{0, p.Theta / 3, p.Theta} {
-				r, err := a.Evaluate(phi)
+				r, err := a.EvaluateContext(context.Background(), phi)
 				if err != nil {
 					continue // typed skip is fine
 				}
@@ -76,7 +76,7 @@ func TestDegenerateParamsNeverPanicOrLeakNaN(t *testing.T) {
 			}
 			// The partial sweep must always produce a report, even when
 			// individual points fail.
-			pr, err := a.CurvePartial(context.Background(), SweepGrid(p.Theta, 8))
+			pr, err := a.CurvePartialWorkers(context.Background(), SweepGrid(p.Theta, 8), 0)
 			if err != nil && pr.Report.Succeeded() > 0 {
 				t.Errorf("CurvePartial errored despite %d survivors: %v", pr.Report.Succeeded(), err)
 			}
@@ -93,7 +93,7 @@ func TestEvaluateOutOfRangePhi(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, phi := range []float64{-1, 1e9, math.NaN()} {
-		if _, err := a.Evaluate(phi); err == nil {
+		if _, err := a.EvaluateContext(context.Background(), phi); err == nil {
 			t.Errorf("Evaluate(%g) accepted an out-of-range duration", phi)
 		}
 	}
@@ -106,7 +106,7 @@ func TestCurvePartialSkipsBadPoints(t *testing.T) {
 	}
 	// Poison two of the φ values; the valid ones must still evaluate.
 	phis := []float64{0, 2500, math.NaN(), 5000, -10, 10000}
-	pr, err := a.CurvePartial(context.Background(), phis)
+	pr, err := a.CurvePartialWorkers(context.Background(), phis, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestCurvePartialCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err = a.CurvePartial(ctx, SweepGrid(10000, 10))
+	_, err = a.CurvePartialWorkers(ctx, SweepGrid(10000, 10), 0)
 	if !errors.Is(err, robust.ErrCanceled) {
 		t.Fatalf("canceled sweep returned %v, want ErrCanceled", err)
 	}

@@ -58,7 +58,7 @@ func TestCurveEngineMatchesPointwise(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, phi := range phis {
-		want, err := a.evaluatePointwise(phi, GammaPaperTauBar)
+		want, err := a.evaluatePointwise(context.Background(), phi, GammaPaperTauBar)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,7 +79,7 @@ func TestCurveEngineMultiSegmentGrid(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, i := range []int{0, 1, curveChunkSize - 1, curveChunkSize, 2*curveChunkSize + 7, len(grid) - 1} {
-		want, err := a.evaluatePointwise(grid[i], GammaPaperTauBar)
+		want, err := a.evaluatePointwise(context.Background(), grid[i], GammaPaperTauBar)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,7 +129,7 @@ func TestCurveEngineSolveBudget(t *testing.T) {
 
 	before := ctmc.SolveOps()
 	for _, phi := range grid {
-		if _, err := a.evaluatePointwise(phi, GammaPaperTauBar); err != nil {
+		if _, err := a.evaluatePointwise(context.Background(), phi, GammaPaperTauBar); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -146,13 +146,13 @@ func TestEvaluateMemoizesSolves(t *testing.T) {
 	a := newAnalyzer(t, nil)
 	phis := []float64{1000, 4000, 7000}
 	for _, phi := range phis {
-		if _, err := a.Evaluate(phi); err != nil {
+		if _, err := a.EvaluateContext(context.Background(), phi); err != nil {
 			t.Fatal(err)
 		}
 	}
 	before := ctmc.SolveOps()
 	for _, phi := range phis {
-		if _, err := a.Evaluate(phi); err != nil {
+		if _, err := a.EvaluateContext(context.Background(), phi); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -166,11 +166,11 @@ func TestEvaluateMemoizesSolves(t *testing.T) {
 func TestEvaluateCachedMatchesPointwise(t *testing.T) {
 	a := newAnalyzer(t, nil)
 	for _, phi := range []float64{0, 1, 2500, 7000, 10000} {
-		got, err := a.Evaluate(phi)
+		got, err := a.EvaluateContext(context.Background(), phi)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := a.evaluatePointwise(phi, GammaPaperTauBar)
+		want, err := a.evaluatePointwise(context.Background(), phi, GammaPaperTauBar)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -194,7 +194,7 @@ func TestCurveEnginePolicyPlumbing(t *testing.T) {
 		if pr.Results[i].Gamma != 1 {
 			t.Errorf("phi=%g: GammaNone produced gamma=%g", phi, pr.Results[i].Gamma)
 		}
-		want, err := a.EvaluateWithPolicy(phi, GammaNone)
+		want, err := a.EvaluateWithPolicy(context.Background(), phi, GammaNone)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -231,7 +231,7 @@ func BenchmarkCurvePerPoint(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, phi := range grid {
-			if _, err := a.evaluatePointwise(phi, GammaPaperTauBar); err != nil {
+			if _, err := a.evaluatePointwise(context.Background(), phi, GammaPaperTauBar); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -239,7 +239,7 @@ func BenchmarkCurvePerPoint(b *testing.B) {
 	b.StopTimer()
 	before := ctmc.SolveOps()
 	for _, phi := range grid {
-		if _, err := a.evaluatePointwise(phi, GammaPaperTauBar); err != nil {
+		if _, err := a.evaluatePointwise(context.Background(), phi, GammaPaperTauBar); err != nil {
 			b.Fatal(err)
 		}
 	}

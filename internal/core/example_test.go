@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -15,11 +16,11 @@ func Example() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	r0, err := analyzer.Evaluate(0)
+	r0, err := analyzer.EvaluateContext(context.Background(), 0)
 	if err != nil {
 		log.Fatal(err)
 	}
-	r7000, err := analyzer.Evaluate(7000)
+	r7000, err := analyzer.EvaluateContext(context.Background(), 7000)
 	if err != nil {
 		log.Fatal(err)
 	}

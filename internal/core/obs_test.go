@@ -62,7 +62,7 @@ func TestConcurrentAnalyzersAttributeOwnSolves(t *testing.T) {
 // from cache: the second search adds hits and zero new misses.
 func TestOptimizeRefinementHitsSolveCache(t *testing.T) {
 	a := newAnalyzer(t, nil)
-	first, err := a.OptimizePhi(OptimizeOptions{})
+	first, err := a.OptimizePhiContext(context.Background(), OptimizeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestOptimizeRefinementHitsSolveCache(t *testing.T) {
 		t.Fatal("first optimization filled no cache entries — refinement bypassed the memo path?")
 	}
 
-	second, err := a.OptimizePhi(OptimizeOptions{})
+	second, err := a.OptimizePhiContext(context.Background(), OptimizeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

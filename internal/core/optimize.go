@@ -31,27 +31,22 @@ type OptimizeOptions struct {
 	Workers int
 }
 
-// OptimizePhi finds the guarded-operation duration maximising Y over
-// [0, θ] to within the requested tolerance: a coarse grid brackets the
-// maximum, then golden-section search refines it. Y(φ) is unimodal for
+// OptimizePhiContext finds the guarded-operation duration maximising Y
+// over [0, θ] to within the requested tolerance: a coarse grid brackets
+// the maximum, then golden-section search refines it. Y(φ) is unimodal for
 // every parameter set the study exercises (the tradeoff between the two
 // degradation sources has a single crossover); should a parameter set ever
 // produce multiple local maxima, the coarse grid keeps the search on the
-// global one at grid resolution.
-func (a *Analyzer) OptimizePhi(opts OptimizeOptions) (Result, error) {
-	return a.OptimizePhiContext(context.Background(), opts)
-}
-
-// OptimizePhiContext is OptimizePhi with cancellation support and a
-// fault-tolerant coarse grid: grid points whose evaluation fails are
-// skipped (the bracket forms over the survivors) and the search errors
-// only when every grid point fails or the context is canceled.
+// global one at grid resolution. The coarse grid is fault-tolerant: grid
+// points whose evaluation fails are skipped (the bracket forms over the
+// survivors) and the search errors only when every grid point fails or
+// the context is canceled.
 func (a *Analyzer) OptimizePhiContext(ctx context.Context, opts OptimizeOptions) (Result, error) {
 	if opts.GridPoints == 0 {
 		opts.GridPoints = 20
 	}
 	if opts.GridPoints < 2 {
-		return Result{}, fmt.Errorf("core: OptimizePhi needs at least 2 grid intervals, got %d", opts.GridPoints)
+		return Result{}, fmt.Errorf("core: OptimizePhiContext needs at least 2 grid intervals, got %d", opts.GridPoints)
 	}
 	theta := a.params.Theta
 	if opts.Tolerance == 0 {
@@ -70,7 +65,7 @@ func (a *Analyzer) OptimizePhiContext(ctx context.Context, opts OptimizeOptions)
 	// overlapping φ the golden-section search revisits cost no new solves.
 	eval := func(phi float64) (Result, error) {
 		refineEvals++
-		return a.evaluateCtx(ctx, phi, opts.Policy)
+		return a.EvaluateWithPolicy(ctx, phi, opts.Policy)
 	}
 
 	// Coarse bracket over the surviving grid points, solved by the
@@ -120,7 +115,7 @@ func (a *Analyzer) OptimizePhiContext(ctx context.Context, opts OptimizeOptions)
 	}
 	for hi-lo > opts.Tolerance {
 		if err := ctx.Err(); err != nil {
-			return Result{}, fmt.Errorf("core: OptimizePhi: %w (%v)", robust.ErrCanceled, err)
+			return Result{}, fmt.Errorf("core: OptimizePhiContext: %w (%v)", robust.ErrCanceled, err)
 		}
 		if r1.Y >= r2.Y {
 			hi = x2

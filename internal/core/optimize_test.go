@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -9,7 +10,7 @@ import (
 
 func TestOptimizePhiRefinesGridOptimum(t *testing.T) {
 	a := newAnalyzer(t, nil)
-	best, err := a.OptimizePhi(OptimizeOptions{})
+	best, err := a.OptimizePhiContext(context.Background(), OptimizeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,11 +30,11 @@ func TestOptimizePhiRefinesGridOptimum(t *testing.T) {
 
 func TestOptimizePhiRespectsTolerance(t *testing.T) {
 	a := newAnalyzer(t, nil)
-	coarse, err := a.OptimizePhi(OptimizeOptions{Tolerance: 2000})
+	coarse, err := a.OptimizePhiContext(context.Background(), OptimizeOptions{Tolerance: 2000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fine, err := a.OptimizePhi(OptimizeOptions{Tolerance: 5})
+	fine, err := a.OptimizePhiContext(context.Background(), OptimizeOptions{Tolerance: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +50,7 @@ func TestOptimizePhiLowCoverageFindsBoundary(t *testing.T) {
 		p.Coverage = 0.10
 		p.Alpha, p.Beta = 2500, 2500
 	})
-	best, err := a.OptimizePhi(OptimizeOptions{})
+	best, err := a.OptimizePhiContext(context.Background(), OptimizeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,12 +68,12 @@ func TestOptimizePhiLowCoverageFindsBoundary(t *testing.T) {
 
 func TestOptimizePhiParallelMatchesSequential(t *testing.T) {
 	a := newAnalyzer(t, nil)
-	seq, err := a.OptimizePhi(OptimizeOptions{Workers: 1})
+	seq, err := a.OptimizePhiContext(context.Background(), OptimizeOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{0, 4} {
-		par, err := a.OptimizePhi(OptimizeOptions{Workers: workers})
+		par, err := a.OptimizePhiContext(context.Background(), OptimizeOptions{Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -88,10 +89,10 @@ func TestOptimizePhiParallelMatchesSequential(t *testing.T) {
 
 func TestOptimizePhiBadOptions(t *testing.T) {
 	a := newAnalyzer(t, nil)
-	if _, err := a.OptimizePhi(OptimizeOptions{GridPoints: 1}); err == nil {
+	if _, err := a.OptimizePhiContext(context.Background(), OptimizeOptions{GridPoints: 1}); err == nil {
 		t.Error("GridPoints=1 accepted")
 	}
-	if _, err := a.OptimizePhi(OptimizeOptions{Tolerance: -5}); err == nil {
+	if _, err := a.OptimizePhiContext(context.Background(), OptimizeOptions{Tolerance: -5}); err == nil {
 		t.Error("negative tolerance accepted")
 	}
 }
@@ -99,15 +100,15 @@ func TestOptimizePhiBadOptions(t *testing.T) {
 func TestGammaPolicies(t *testing.T) {
 	a := newAnalyzer(t, nil)
 	phi := 7000.0
-	paper, err := a.EvaluateWithPolicy(phi, GammaPaperTauBar)
+	paper, err := a.EvaluateWithPolicy(context.Background(), phi, GammaPaperTauBar)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cond, err := a.EvaluateWithPolicy(phi, GammaConditionalMean)
+	cond, err := a.EvaluateWithPolicy(context.Background(), phi, GammaConditionalMean)
 	if err != nil {
 		t.Fatal(err)
 	}
-	none, err := a.EvaluateWithPolicy(phi, GammaNone)
+	none, err := a.EvaluateWithPolicy(context.Background(), phi, GammaNone)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +124,7 @@ func TestGammaPolicies(t *testing.T) {
 	if !(paper.Y < cond.Y && cond.Y < none.Y) {
 		t.Errorf("Y ordering violated: %v, %v, %v", paper.Y, cond.Y, none.Y)
 	}
-	if _, err := a.EvaluateWithPolicy(phi, GammaPolicy(99)); err == nil {
+	if _, err := a.EvaluateWithPolicy(context.Background(), phi, GammaPolicy(99)); err == nil {
 		t.Error("unknown policy accepted")
 	}
 }
@@ -133,7 +134,7 @@ func TestGammaConditionalMatchesClosedForm(t *testing.T) {
 	// a truncated exponential with rate mu ~= mu_new.
 	a := newAnalyzer(t, nil)
 	phi := 7000.0
-	r, err := a.EvaluateWithPolicy(phi, GammaConditionalMean)
+	r, err := a.EvaluateWithPolicy(context.Background(), phi, GammaConditionalMean)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,11 +156,11 @@ func TestGammaPolicyString(t *testing.T) {
 
 func TestOptimizeUnderAlternativePolicies(t *testing.T) {
 	a := newAnalyzer(t, nil)
-	paper, err := a.OptimizePhi(OptimizeOptions{Policy: GammaPaperTauBar, Tolerance: 50})
+	paper, err := a.OptimizePhiContext(context.Background(), OptimizeOptions{Policy: GammaPaperTauBar, Tolerance: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cond, err := a.OptimizePhi(OptimizeOptions{Policy: GammaConditionalMean, Tolerance: 50})
+	cond, err := a.OptimizePhiContext(context.Background(), OptimizeOptions{Policy: GammaConditionalMean, Tolerance: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,11 +184,11 @@ func TestImperfectRecoveryLowersY(t *testing.T) {
 		t.Fatal(err)
 	}
 	phi := 7000.0
-	rp, err := perfect.Evaluate(phi)
+	rp, err := perfect.EvaluateContext(context.Background(), phi)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rf, err := flaky.Evaluate(phi)
+	rf, err := flaky.EvaluateContext(context.Background(), phi)
 	if err != nil {
 		t.Fatal(err)
 	}

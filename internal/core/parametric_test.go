@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"math/rand"
 	"testing"
 
 	"guardedop/internal/ctmc"
@@ -29,53 +30,79 @@ func outOfDomainParams(t *testing.T) mdcd.Params {
 }
 
 // TestParametricEvaluateMatchesNumeric pins the analyzer-level equivalence
-// contract on the paper grid: the parametric fast path and the numeric
-// engine agree on the performability index and every translation
-// intermediate at 1e-9 relative.
+// contract: the parametric fast path and the numeric engine agree on the
+// performability index and every translation intermediate. On the paper
+// grid every published measure agrees at 1e-9 relative. Randomized
+// in-domain family sets (the ranges of the benchmark's family sweep) are
+// held to the documented bar of docs/PARAMETRIC.md: 1e-9 on the solved
+// measures, Y to 1e-9·κ with κ = E[W_I]/(E[W_I] − E[W_φ]), γ to
+// 1e-9·E[W_I]/θ, and the worth terms to 1e-9·E[W_I].
 func TestParametricEvaluateMatchesNumeric(t *testing.T) {
-	p := mdcd.DefaultParams()
-	numeric, err := NewAnalyzer(p)
-	if err != nil {
-		t.Fatal(err)
+	sets := []mdcd.Params{mdcd.DefaultParams()}
+	rng := rand.New(rand.NewSource(15))
+	for i := 0; i < 6; i++ {
+		p := mdcd.DefaultParams()
+		p.Theta = math.Round(5000 + 10000*rng.Float64())
+		p.MuNew = 1e-5 * math.Pow(100, rng.Float64())
+		p.Coverage = 0.85 + 0.14*rng.Float64()
+		p.Alpha = math.Round(2000 * math.Pow(6, rng.Float64()))
+		p.Beta = p.Alpha
+		sets = append(sets, p)
 	}
-	par, err := NewAnalyzerWithOptions(p, Options{Parametric: ParametricAuto})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !par.Parametric() {
-		t.Fatal("auto mode did not activate the parametric layer at the paper params")
-	}
-	agree := func(a, b float64) bool {
-		return math.Abs(a-b) <= 1e-9*math.Max(math.Abs(a), math.Abs(b))+1e-12
-	}
-	grid := SweepGrid(p.Theta, 50)
-	// The numeric reference is the curve engine's shared-propagation
-	// path: at the paper's q·θ ≈ 2.4e7 it is the most accurate numeric
-	// route (the per-point auto path rounds through ~25 expm squarings,
-	// which alone cost more than the 1e-9 budget at the grid's far end).
-	refs, err := numeric.Curve(grid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, phi := range grid {
-		rp, err := par.Evaluate(phi)
+	for si, p := range sets {
+		numeric, err := NewAnalyzer(p)
 		if err != nil {
-			t.Fatalf("parametric Evaluate(%g): %v", phi, err)
+			t.Fatal(err)
 		}
-		rn := refs[i]
-		for _, c := range []struct {
-			name string
-			a, b float64
-		}{
-			{"Y", rp.Y, rn.Y},
-			{"Y^S1", rp.YS1, rn.YS1},
-			{"Y^S2", rp.YS2, rn.YS2},
-			{"E[W_phi]", rp.EWPhi, rn.EWPhi},
-			{"Gamma", rp.Gamma, rn.Gamma},
-			{"P(S1)", rp.PS1, rn.PS1},
-		} {
-			if !agree(c.a, c.b) {
-				t.Errorf("phi=%g %s: parametric %.15g vs numeric %.15g", phi, c.name, c.a, c.b)
+		par, err := NewAnalyzerWithOptions(p, Options{Parametric: ParametricAuto})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !par.Parametric() {
+			t.Fatalf("auto mode did not activate the parametric layer at %+v", p)
+		}
+		points := 50
+		if si > 0 {
+			points = 10
+		}
+		grid := SweepGrid(p.Theta, points)
+		// The numeric reference is the curve engine's shared-propagation
+		// path: at the paper's q·θ ≈ 2.4e7 it is the most accurate numeric
+		// route (the per-point auto path rounds through ~25 expm squarings,
+		// which alone cost more than the 1e-9 budget at the grid's far end).
+		refs, err := numeric.Curve(grid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, phi := range grid {
+			rp, err := par.EvaluateContext(context.Background(), phi)
+			if err != nil {
+				t.Fatalf("parametric Evaluate(%g): %v", phi, err)
+			}
+			rn := refs[i]
+			// scale 0 means relative to the larger magnitude; the paper
+			// set holds every measure to that strict form.
+			kappa := rn.EWI / (rn.EWI - rn.EWPhi)
+			for _, c := range []struct {
+				name  string
+				a, b  float64
+				scale float64
+			}{
+				{"Y", rp.Y, rn.Y, math.Max(math.Abs(rn.Y), 1) * kappa},
+				{"Y^S1", rp.YS1, rn.YS1, rn.EWI},
+				{"Y^S2", rp.YS2, rn.YS2, rn.EWI},
+				{"E[W_phi]", rp.EWPhi, rn.EWPhi, rn.EWI},
+				{"Gamma", rp.Gamma, rn.Gamma, rn.EWI / p.Theta},
+				{"P(S1)", rp.PS1, rn.PS1, 1},
+			} {
+				tol := 1e-9*c.scale + 1e-12
+				if si == 0 {
+					tol = 1e-9*math.Max(math.Abs(c.a), math.Abs(c.b)) + 1e-12
+				}
+				if !(math.Abs(c.a-c.b) <= tol) {
+					t.Errorf("set %d (theta=%g mu_new=%g c=%g alpha=%g) phi=%g %s: parametric %.15g vs numeric %.15g",
+						si, p.Theta, p.MuNew, p.Coverage, p.Alpha, phi, c.name, c.a, c.b)
+				}
 			}
 		}
 	}
@@ -96,7 +123,7 @@ func TestParametricZeroSolvePasses(t *testing.T) {
 	grid := SweepGrid(p.Theta, 50)
 	before := ctmc.SolveOps()
 	for _, phi := range grid {
-		if _, err := a.Evaluate(phi); err != nil {
+		if _, err := a.EvaluateContext(context.Background(), phi); err != nil {
 			t.Fatalf("Evaluate(%g): %v", phi, err)
 		}
 	}
@@ -120,7 +147,7 @@ func TestParametricCurveCounters(t *testing.T) {
 	}
 	grid := SweepGrid(p.Theta, 20)
 	ctx, scope := obs.WithScope(context.Background())
-	pr, err := a.CurvePartial(ctx, grid)
+	pr, err := a.CurvePartialWorkers(ctx, grid, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,11 +184,11 @@ func TestParametricOutOfDomainFallsBack(t *testing.T) {
 	}
 	grid := SweepGrid(p.Theta, 20)
 	for _, phi := range grid {
-		ra, err := auto.Evaluate(phi)
+		ra, err := auto.EvaluateContext(context.Background(), phi)
 		if err != nil {
 			t.Fatalf("auto Evaluate(%g): %v", phi, err)
 		}
-		rn, err := numeric.Evaluate(phi)
+		rn, err := numeric.EvaluateContext(context.Background(), phi)
 		if err != nil {
 			t.Fatalf("numeric Evaluate(%g): %v", phi, err)
 		}
@@ -170,7 +197,7 @@ func TestParametricOutOfDomainFallsBack(t *testing.T) {
 		}
 	}
 	ctx, scope := obs.WithScope(context.Background())
-	if _, err := auto.CurvePartial(ctx, grid); err != nil {
+	if _, err := auto.CurvePartialWorkers(ctx, grid, 0); err != nil {
 		t.Fatal(err)
 	}
 	if got := scope.Counter(obs.CtrParametricFallbacks); got != int64(len(grid)) {
@@ -216,7 +243,7 @@ func BenchmarkEvaluateParametric(b *testing.B) {
 	grid := benchGrid(p.Theta)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := a.Evaluate(grid[i%len(grid)]); err != nil {
+		if _, err := a.EvaluateContext(context.Background(), grid[i%len(grid)]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -231,7 +258,7 @@ func BenchmarkEvaluateNumeric(b *testing.B) {
 	grid := benchGrid(p.Theta)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := a.Evaluate(grid[i%len(grid)]); err != nil {
+		if _, err := a.EvaluateContext(context.Background(), grid[i%len(grid)]); err != nil {
 			b.Fatal(err)
 		}
 	}

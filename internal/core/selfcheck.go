@@ -112,7 +112,7 @@ func SelfCheck(ctx context.Context, p mdcd.Params, gridPoints int) (*SelfCheckRe
 	}
 
 	grid := SweepGrid(p.Theta, gridPoints)
-	pr, err := a.CurvePartial(ctx, grid)
+	pr, err := a.CurvePartialWorkers(ctx, grid, 0)
 	if err != nil {
 		if ctxErr := ctx.Err(); ctxErr != nil {
 			add("phi-grid invariants", false, err.Error())

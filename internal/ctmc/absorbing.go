@@ -107,52 +107,6 @@ func (c *Chain) AbsorbingAnalysis() (*Absorbing, error) {
 	return a, nil
 }
 
-// AccumulatedUntilAbsorption returns Σ_s rates[s]·E[total time in s before
-// absorption], starting from pi0 — the expected total reward earned over
-// the chain's whole (finite) lifetime. Mass starting on absorbing states
-// earns nothing. Every transient state must reach absorption with
-// probability one.
-func (c *Chain) AccumulatedUntilAbsorption(pi0, rates []float64) (float64, error) {
-	if err := c.checkDistribution(pi0); err != nil {
-		return 0, err
-	}
-	if len(rates) != c.n {
-		return 0, errRewardLength(len(rates), c.n)
-	}
-	a, err := c.AbsorbingAnalysis()
-	if err != nil {
-		return 0, err
-	}
-	nt := len(a.TransientStates)
-	if nt == 0 {
-		return 0, nil
-	}
-	// Solve (-Q_TT)ᵀ y = pi0_T for the expected occupancy measure, then
-	// contract with the rates; equivalently solve (-Q_TT) x = r_T and take
-	// pi0_T · x (one solve either way — use the latter).
-	qtt := sparse.NewDense(nt, nt)
-	for i, s := range a.TransientStates {
-		c.gen.Row(s, func(cc int, v float64) {
-			if j, ok := a.transientIdx[cc]; ok {
-				qtt.Set(i, j, -v)
-			}
-		})
-	}
-	rT := make([]float64, nt)
-	for i, s := range a.TransientStates {
-		rT[i] = rates[s]
-	}
-	x, err := sparse.SolveDense(qtt, rT)
-	if err != nil {
-		return 0, fmt.Errorf("ctmc: reward-until-absorption solve failed: %w", err)
-	}
-	total := 0.0
-	for i, s := range a.TransientStates {
-		total += pi0[s] * x[i]
-	}
-	return total, nil
-}
-
 // AbsorptionProbability returns the probability of eventual absorption in
 // state absState starting from distribution pi0 (mass already on absorbing
 // states counts as absorbed there).
@@ -175,19 +129,4 @@ func (a *Absorbing) AbsorptionProbability(pi0 []float64, absState int) (float64,
 		}
 	}
 	return total, nil
-}
-
-// ExpectedTimeToAbsorption returns the expected absorption time starting
-// from distribution pi0; mass on absorbing states contributes zero.
-func (a *Absorbing) ExpectedTimeToAbsorption(pi0 []float64) float64 {
-	total := 0.0
-	for s, p := range pi0 {
-		if p == 0 {
-			continue
-		}
-		if i, ok := a.transientIdx[s]; ok {
-			total += p * a.MeanTime[i]
-		}
-	}
-	return total
 }

@@ -1,6 +1,7 @@
 package ctmc
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -22,7 +23,7 @@ func BenchmarkTransientUniformization(b *testing.B) {
 	pi0, _ := c.PointMass(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.TransientUniformization(pi0, 5, UniformizationOptions{}); err != nil {
+		if _, _, err := c.uniformize(context.Background(), pi0, 5, UniformizationOptions{}, false); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -47,7 +48,7 @@ func BenchmarkTransientExpmStiff(b *testing.B) {
 	pi0, _ := c.PointMass(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.TransientExpm(pi0, 1e4); err != nil {
+		if _, err := c.transientExpm(context.Background(), pi0, 1e4); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -58,7 +59,7 @@ func BenchmarkAccumulatedExpm(b *testing.B) {
 	pi0, _ := c.PointMass(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.AccumulatedExpm(pi0, 1e4); err != nil {
+		if _, _, err := c.transientAccumulatedExpm(context.Background(), pi0, 1e4); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -11,7 +11,7 @@ import (
 // SolveCache memoizes full-horizon solves of one chain from one fixed
 // initial distribution, keyed by the exact (bit-identical) time point. It
 // backs the analyzer's repeated-evaluation hot paths — optimization
-// refinement revisiting overlapping φ, repeated Evaluate calls, the several
+// refinement revisiting overlapping φ, repeated EvaluateContext calls, the several
 // rewards of one model sharing a horizon — where the same (model, t) pair
 // is solved over and over.
 //
@@ -85,14 +85,9 @@ func NewSolveCache(chain *Chain, pi0 []float64, capacity int, withAccumulated bo
 	}, nil
 }
 
-// Transient returns π(t), solving and memoizing on first use.
-func (s *SolveCache) Transient(t float64) ([]float64, error) {
-	return s.TransientContext(context.Background(), t)
-}
-
-// TransientContext is Transient under a caller-carried context: hits,
-// misses, evictions, and any fill's solver pass report to the context's
-// obs scope/tracer.
+// TransientContext returns π(t), solving and memoizing on first use.
+// Hits, misses, evictions, and any fill's solver pass report to the
+// context's obs scope/tracer.
 func (s *SolveCache) TransientContext(ctx context.Context, t float64) ([]float64, error) {
 	e, err := s.lookup(ctx, t)
 	if err != nil {
@@ -101,15 +96,9 @@ func (s *SolveCache) TransientContext(ctx context.Context, t float64) ([]float64
 	return e.pi, nil
 }
 
-// TransientAccumulated returns π(t) and L(t) = ∫₀ᵗ π(u)du from one
+// TransientAccumulatedContext returns π(t) and L(t) = ∫₀ᵗ π(u)du from one
 // memoized combined pass. The cache must have been built with
 // withAccumulated set.
-func (s *SolveCache) TransientAccumulated(t float64) (pi, acc []float64, err error) {
-	return s.TransientAccumulatedContext(context.Background(), t)
-}
-
-// TransientAccumulatedContext is TransientAccumulated under a
-// caller-carried context.
 func (s *SolveCache) TransientAccumulatedContext(ctx context.Context, t float64) (pi, acc []float64, err error) {
 	if !s.withAcc {
 		return nil, nil, fmt.Errorf("ctmc: SolveCache was built without accumulated solves")
@@ -153,13 +142,6 @@ func (s *SolveCache) lookup(ctx context.Context, t float64) (*solveEntry, error)
 	s.entries[t] = e
 	s.order = append(s.order, t)
 	return e, nil
-}
-
-// Stats returns the hit and miss counts so far, for tests and metrics.
-func (s *SolveCache) Stats() (hits, misses uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.hits, s.misses
 }
 
 // Snapshot returns the full cache statistics — hits, misses, evictions,

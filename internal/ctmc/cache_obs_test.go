@@ -66,7 +66,7 @@ func TestScopedSolveCountsUnpollutedByConcurrentSolves(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				if _, err := c.Transient(pi0, 0.5); err != nil {
+				if _, err := c.TransientContext(context.Background(), pi0, 0.5); err != nil {
 					return
 				}
 			}

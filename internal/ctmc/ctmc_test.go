@@ -1,6 +1,7 @@
 package ctmc
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -107,14 +108,14 @@ func TestTwoStateTransientAnalytic(t *testing.T) {
 	pi0, _ := c.PointMass(0)
 	for _, tt := range []float64{0, 0.01, 0.1, 0.5, 1, 5, 50} {
 		want := a / (a + b) * (1 - math.Exp(-(a+b)*tt))
-		got, err := c.TransientUniformization(pi0, tt, UniformizationOptions{})
+		got, _, err := c.uniformize(context.Background(), pi0, tt, UniformizationOptions{}, false)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if math.Abs(got[1]-want) > 1e-10 {
 			t.Errorf("t=%v: P(state 1) = %.15f, want %.15f", tt, got[1], want)
 		}
-		gotE, err := c.TransientExpm(pi0, tt)
+		gotE, err := c.transientExpm(context.Background(), pi0, tt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,14 +134,14 @@ func TestTwoStateAccumulatedAnalytic(t *testing.T) {
 	for _, tt := range []float64{0, 0.2, 1, 4, 20} {
 		s := a + b
 		want := a/s*tt - a/(s*s)*(1-math.Exp(-s*tt))
-		got, err := c.AccumulatedUniformization(pi0, tt, UniformizationOptions{})
+		_, got, err := c.uniformize(context.Background(), pi0, tt, UniformizationOptions{}, true)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if math.Abs(got[1]-want) > 1e-9 {
 			t.Errorf("t=%v: unif L_1 = %.12f, want %.12f", tt, got[1], want)
 		}
-		gotE, err := c.AccumulatedExpm(pi0, tt)
+		_, gotE, err := c.transientAccumulatedExpm(context.Background(), pi0, tt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,14 +156,14 @@ func TestAccumulatedSumsToT(t *testing.T) {
 	c := birthDeath(t, 6, 2.0, 3.0)
 	pi0, _ := c.PointMass(0)
 	for _, tt := range []float64{0.5, 3, 17} {
-		acc, err := c.AccumulatedUniformization(pi0, tt, UniformizationOptions{})
+		_, acc, err := c.uniformize(context.Background(), pi0, tt, UniformizationOptions{}, true)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if math.Abs(sparse.Sum(acc)-tt) > 1e-8 {
 			t.Errorf("sum L(t) = %v, want %v", sparse.Sum(acc), tt)
 		}
-		accE, err := c.AccumulatedExpm(pi0, tt)
+		_, accE, err := c.transientAccumulatedExpm(context.Background(), pi0, tt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,17 +175,17 @@ func TestAccumulatedSumsToT(t *testing.T) {
 
 func TestTransientRejectsBadInput(t *testing.T) {
 	c := twoState(t, 1, 1)
-	if _, err := c.TransientUniformization([]float64{1}, 1, UniformizationOptions{}); err == nil {
+	if _, _, err := c.uniformize(context.Background(), []float64{1}, 1, UniformizationOptions{}, false); err == nil {
 		t.Error("accepted wrong-length distribution")
 	}
-	if _, err := c.TransientUniformization([]float64{0.5, 0.4}, 1, UniformizationOptions{}); err == nil {
+	if _, _, err := c.uniformize(context.Background(), []float64{0.5, 0.4}, 1, UniformizationOptions{}, false); err == nil {
 		t.Error("accepted non-normalized distribution")
 	}
 	pi0, _ := c.PointMass(0)
-	if _, err := c.TransientUniformization(pi0, -1, UniformizationOptions{}); err == nil {
+	if _, _, err := c.uniformize(context.Background(), pi0, -1, UniformizationOptions{}, false); err == nil {
 		t.Error("accepted negative time")
 	}
-	if _, err := c.TransientExpm(pi0, math.Inf(1)); err == nil {
+	if _, err := c.transientExpm(context.Background(), pi0, math.Inf(1)); err == nil {
 		t.Error("accepted infinite time")
 	}
 }
@@ -196,14 +197,14 @@ func TestAllAbsorbingChainTransient(t *testing.T) {
 		t.Fatal(err)
 	}
 	pi0 := []float64{0.3, 0.7}
-	got, err := c.TransientUniformization(pi0, 10, UniformizationOptions{})
+	got, _, err := c.uniformize(context.Background(), pi0, 10, UniformizationOptions{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got[0] != 0.3 || got[1] != 0.7 {
 		t.Errorf("frozen chain moved: %v", got)
 	}
-	acc, err := c.AccumulatedUniformization(pi0, 10, UniformizationOptions{})
+	_, acc, err := c.uniformize(context.Background(), pi0, 10, UniformizationOptions{}, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,6 @@
 // Package ctmc implements continuous-time Markov chain analysis: transient
 // state-probability solution, accumulated (time-integrated) state
-// probabilities, steady-state solution, and absorbing-state analysis.
+// probabilities, steady-state solution, and absorption probabilities.
 //
 // A chain is described by its infinitesimal generator Q (off-diagonal entries
 // are transition rates, diagonal entries make rows sum to zero) and an
@@ -8,8 +8,8 @@
 //
 // # Transient solution
 //
-// Two engines are provided and selected automatically by Transient /
-// TransientAccumulated:
+// Two engines are provided and selected automatically by TransientContext,
+// AccumulatedContext and the series and cache entry points built on them:
 //
 //   - Uniformization (Jensen's method) with Fox–Glynn-style Poisson weight
 //     computation and optional steady-state detection. This is exact up to
@@ -36,5 +36,6 @@
 //
 // AbsorbingAnalysis partitions states into transient and absorbing sets and
 // computes eventual absorption probabilities and the mean time to
-// absorption via the fundamental matrix.
+// absorption via the fundamental matrix; AbsorptionProbability reads the
+// probability of ending in one absorbing state off it.
 package ctmc

@@ -1,6 +1,7 @@
 package ctmc
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -10,10 +11,10 @@ import (
 func TestUniformizationMaxIterations(t *testing.T) {
 	c := twoState(t, 100, 100)
 	pi0, _ := c.PointMass(0)
-	_, err := c.TransientUniformization(pi0, 1000, UniformizationOptions{
+	_, _, err := c.uniformize(context.Background(), pi0, 1000, UniformizationOptions{
 		MaxIterations:               10,
 		DisableSteadyStateDetection: true,
-	})
+	}, false)
 	if err == nil {
 		t.Fatal("iteration cap not enforced")
 	}
@@ -24,13 +25,13 @@ func TestUniformizationWithoutSteadyStateDetection(t *testing.T) {
 	c := twoState(t, a, b)
 	pi0, _ := c.PointMass(0)
 	tt := 5.0
-	with, err := c.TransientUniformization(pi0, tt, UniformizationOptions{})
+	with, _, err := c.uniformize(context.Background(), pi0, tt, UniformizationOptions{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	without, err := c.TransientUniformization(pi0, tt, UniformizationOptions{
+	without, _, err := c.uniformize(context.Background(), pi0, tt, UniformizationOptions{
 		DisableSteadyStateDetection: true,
-	})
+	}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,11 +43,11 @@ func TestUniformizationWithoutSteadyStateDetection(t *testing.T) {
 func TestUniformizationCustomEpsilonAndPadding(t *testing.T) {
 	c := twoState(t, 2, 1)
 	pi0, _ := c.PointMass(0)
-	coarse, err := c.TransientUniformization(pi0, 1, UniformizationOptions{Epsilon: 1e-4})
+	coarse, _, err := c.uniformize(context.Background(), pi0, 1, UniformizationOptions{Epsilon: 1e-4}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fine, err := c.TransientUniformization(pi0, 1, UniformizationOptions{Epsilon: 1e-14, RatePadding: 1.5})
+	fine, _, err := c.uniformize(context.Background(), pi0, 1, UniformizationOptions{Epsilon: 1e-14, RatePadding: 1.5}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,13 +71,13 @@ func TestSteadyPowerRejectsAllAbsorbing(t *testing.T) {
 }
 
 func TestExpmRejectsNonSquare(t *testing.T) {
-	if _, err := Expm(sparse.NewDense(2, 3)); err == nil {
+	if _, err := expm(sparse.NewDense(2, 3)); err == nil {
 		t.Error("non-square matrix accepted")
 	}
 }
 
 func TestExpmEmptyAndIdentityCases(t *testing.T) {
-	e, err := Expm(sparse.NewDense(0, 0))
+	e, err := expm(sparse.NewDense(0, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +85,7 @@ func TestExpmEmptyAndIdentityCases(t *testing.T) {
 		t.Errorf("exp of empty = %dx%d", e.Rows(), e.Cols())
 	}
 	// exp(0) = I.
-	z, err := Expm(sparse.NewDense(3, 3))
+	z, err := expm(sparse.NewDense(3, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +107,7 @@ func TestExpmKnownScalarCase(t *testing.T) {
 	for _, a := range []float64{0.5, -2, 40} {
 		m := sparse.NewDense(1, 1)
 		m.Set(0, 0, a)
-		e, err := Expm(m)
+		e, err := expm(m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,7 +122,7 @@ func TestExpmNilpotentExact(t *testing.T) {
 	n := sparse.NewDense(3, 3)
 	n.Set(0, 1, 2)
 	n.Set(1, 2, 3)
-	e, err := Expm(n)
+	e, err := expm(n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +157,7 @@ func TestClampProbabilities(t *testing.T) {
 func TestAccumulatedExpmZeroTime(t *testing.T) {
 	c := twoState(t, 1, 1)
 	pi0, _ := c.PointMass(0)
-	acc, err := c.AccumulatedExpm(pi0, 0)
+	_, acc, err := c.transientAccumulatedExpm(context.Background(), pi0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,11 +197,11 @@ func TestAutoSelectionConsistency(t *testing.T) {
 	pi0, _ := c.PointMass(0)
 	// q*t around the budget boundary: q ≈ 50, so t = budget/50.
 	tBoundary := uniformizationBudget / 50
-	below, err := c.Transient(pi0, tBoundary*0.99)
+	below, err := c.TransientContext(context.Background(), pi0, tBoundary*0.99)
 	if err != nil {
 		t.Fatal(err)
 	}
-	above, err := c.Transient(pi0, tBoundary*1.01)
+	above, err := c.TransientContext(context.Background(), pi0, tBoundary*1.01)
 	if err != nil {
 		t.Fatal(err)
 	}

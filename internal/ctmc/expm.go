@@ -22,11 +22,11 @@ var pade13Coeffs = [14]float64{
 	1323241920, 40840800, 960960, 16380, 182, 1,
 }
 
-// Expm computes the matrix exponential e^A of a square dense matrix using
+// expm computes the matrix exponential e^A of a square dense matrix using
 // the order-13 Padé approximant with scaling and squaring.
-func Expm(a *sparse.Dense) (*sparse.Dense, error) {
+func expm(a *sparse.Dense) (*sparse.Dense, error) {
 	if a.Rows() != a.Cols() {
-		return nil, fmt.Errorf("ctmc: Expm needs a square matrix, got %dx%d", a.Rows(), a.Cols())
+		return nil, fmt.Errorf("ctmc: expm needs a square matrix, got %dx%d", a.Rows(), a.Cols())
 	}
 	n := a.Rows()
 	if n == 0 {
@@ -79,13 +79,9 @@ func pade13(a *sparse.Dense) (*sparse.Dense, error) {
 	return f.SolveMatrix(num)
 }
 
-// TransientExpm computes π(t) = π₀ e^{Qt} by dense matrix exponential.
-func (c *Chain) TransientExpm(pi0 []float64, t float64) ([]float64, error) {
-	return c.transientExpm(context.Background(), pi0, t)
-}
-
-// transientExpm is TransientExpm under a caller-carried context: the pass
-// counts against the context's solve scope and emits one "ctmc.expm" span.
+// transientExpm computes π(t) = π₀ e^{Qt} by dense matrix exponential. The
+// pass counts against the context's solve scope and emits one "ctmc.expm"
+// span.
 func (c *Chain) transientExpm(ctx context.Context, pi0 []float64, t float64) ([]float64, error) {
 	if err := c.checkDistribution(pi0); err != nil {
 		return nil, err
@@ -102,7 +98,7 @@ func (c *Chain) transientExpm(ctx context.Context, pi0 []float64, t float64) ([]
 	sp.SetInt("states", int64(c.n))
 	sp.SetFloat("t", t)
 	qt := c.gen.ToDense().Scale(t)
-	e, err := Expm(qt)
+	e, err := expm(qt)
 	if err != nil {
 		return nil, err
 	}
@@ -110,16 +106,9 @@ func (c *Chain) transientExpm(ctx context.Context, pi0 []float64, t float64) ([]
 	e.VecMul(out, pi0)
 	clampProbabilities(out)
 	if err := robust.CheckFiniteSlice("pi", out); err != nil {
-		return nil, fmt.Errorf("ctmc: TransientExpm output: %w", err)
+		return nil, fmt.Errorf("ctmc: expm output: %w", err)
 	}
 	return out, nil
-}
-
-// AccumulatedExpm computes L(t) = ∫₀ᵗ π(u) du using the Van Loan augmented
-// generator: exp([[Q, I], [0, 0]] t) has ∫₀ᵗ e^{Qu}du as its (1,2) block.
-func (c *Chain) AccumulatedExpm(pi0 []float64, t float64) ([]float64, error) {
-	_, acc, err := c.transientAccumulatedExpm(context.Background(), pi0, t)
-	return acc, err
 }
 
 // transientAccumulatedExpm reads π(t) and L(t) off a single Van Loan
@@ -150,7 +139,7 @@ func (c *Chain) transientAccumulatedExpm(ctx context.Context, pi0 []float64, t f
 		})
 		aug.Set(r, n+r, t)
 	}
-	e, err := Expm(aug)
+	e, err := expm(aug)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -1,6 +1,7 @@
 package ctmc
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -49,7 +50,7 @@ func FuzzTwoStateTransient(f *testing.F) {
 		}
 		c := twoState(t, a, b)
 		pi0, _ := c.PointMass(0)
-		got, err := c.Transient(pi0, horizon)
+		got, err := c.TransientContext(context.Background(), pi0, horizon)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package ctmc
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -61,7 +62,7 @@ func TestUniformizationIsStochasticProperty(t *testing.T) {
 		}
 		pi0 := randomDistribution(rng, n)
 		tt := rng.Float64() * 20
-		pi, err := c.TransientUniformization(pi0, tt, UniformizationOptions{})
+		pi, _, err := c.uniformize(context.Background(), pi0, tt, UniformizationOptions{}, false)
 		if err != nil {
 			return false
 		}
@@ -90,11 +91,11 @@ func TestExpmMatchesUniformizationProperty(t *testing.T) {
 		}
 		pi0 := randomDistribution(rng, n)
 		tt := rng.Float64() * 10
-		a, err := c.TransientUniformization(pi0, tt, UniformizationOptions{})
+		a, _, err := c.uniformize(context.Background(), pi0, tt, UniformizationOptions{}, false)
 		if err != nil {
 			return false
 		}
-		b, err := c.TransientExpm(pi0, tt)
+		b, err := c.transientExpm(context.Background(), pi0, tt)
 		if err != nil {
 			return false
 		}
@@ -116,11 +117,11 @@ func TestAccumulatedAgreementProperty(t *testing.T) {
 		}
 		pi0 := randomDistribution(rng, n)
 		tt := rng.Float64() * 8
-		a, err := c.AccumulatedUniformization(pi0, tt, UniformizationOptions{})
+		_, a, err := c.uniformize(context.Background(), pi0, tt, UniformizationOptions{}, true)
 		if err != nil {
 			return false
 		}
-		b, err := c.AccumulatedExpm(pi0, tt)
+		_, b, err := c.transientAccumulatedExpm(context.Background(), pi0, tt)
 		if err != nil {
 			return false
 		}
@@ -162,7 +163,7 @@ func TestSteadyStateResidualProperty(t *testing.T) {
 			}
 		}
 		pi0 := randomDistribution(rng, n)
-		long, err := c.Transient(pi0, 5000/math.Max(minExit, 1e-6))
+		long, err := c.TransientContext(context.Background(), pi0, 5000/math.Max(minExit, 1e-6))
 		if err != nil {
 			return false
 		}
@@ -255,7 +256,7 @@ func TestStiffTransientMatchesAnalytic(t *testing.T) {
 	}
 	pi0, _ := c.PointMass(0)
 	tt := 1e4
-	got, err := c.Transient(pi0, tt)
+	got, err := c.TransientContext(context.Background(), pi0, tt)
 	if err != nil {
 		t.Fatal(err)
 	}

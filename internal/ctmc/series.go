@@ -11,44 +11,25 @@ import (
 	"guardedop/internal/sparse"
 )
 
-// TransientSeries computes π(t) for every time point in ts (which need not
-// be sorted; the result is aligned with the input order). Rather than
-// solving from zero for each point, the distribution is propagated
+// TransientSeriesContext computes π(t) for every time point in ts (which
+// need not be sorted; the result is aligned with the input order). Rather
+// than solving from zero for each point, the distribution is propagated
 // incrementally between consecutive sorted times — for k points this costs
 // one transient solve per gap instead of one per horizon, which matters for
-// the long stiff horizons of the guarded-operation study.
-func (c *Chain) TransientSeries(pi0 []float64, ts []float64) ([][]float64, error) {
-	pis, _, err := c.seriesWalk(context.Background(), pi0, ts, false)
-	return pis, err
-}
-
-// TransientSeriesContext is TransientSeries under a caller-carried
-// context: the shared propagation emits one "ctmc.series" span covering
-// every per-gap solver pass.
+// the long stiff horizons of the guarded-operation study. The shared
+// propagation emits one "ctmc.series" span covering every per-gap solver
+// pass.
 func (c *Chain) TransientSeriesContext(ctx context.Context, pi0 []float64, ts []float64) ([][]float64, error) {
 	pis, _, err := c.seriesWalk(ctx, pi0, ts, false)
 	return pis, err
 }
 
-// AccumulatedSeries computes L(t) = ∫₀ᵗ π(u)du for every time point in ts
-// (unsorted input is aligned like TransientSeries), sharing one incremental
-// propagation across the whole series: L(t_k) = L(t_{k−1}) + ∫ over the gap,
+// TransientAccumulatedSeriesContext computes both π(t) and
+// L(t) = ∫₀ᵗ π(u)du for every time point in ts in a single shared
+// incremental pass — the solver core of the curve engine, where every
+// instant-of-time and accumulated reward of a φ-grid point is a dot
+// product against these two vectors. L(t_k) = L(t_{k−1}) + ∫ over the gap,
 // with the gap integral solved from the propagated distribution.
-func (c *Chain) AccumulatedSeries(pi0 []float64, ts []float64) ([][]float64, error) {
-	_, accs, err := c.seriesWalk(context.Background(), pi0, ts, true)
-	return accs, err
-}
-
-// TransientAccumulatedSeries computes both π(t) and L(t) = ∫₀ᵗ π(u)du for
-// every time point in ts in a single shared incremental pass — the solver
-// core of the curve engine, where every instant-of-time and accumulated
-// reward of a φ-grid point is a dot product against these two vectors.
-func (c *Chain) TransientAccumulatedSeries(pi0 []float64, ts []float64) (pis, accs [][]float64, err error) {
-	return c.seriesWalk(context.Background(), pi0, ts, true)
-}
-
-// TransientAccumulatedSeriesContext is TransientAccumulatedSeries under a
-// caller-carried context.
 func (c *Chain) TransientAccumulatedSeriesContext(ctx context.Context, pi0 []float64, ts []float64) (pis, accs [][]float64, err error) {
 	return c.seriesWalk(ctx, pi0, ts, true)
 }
@@ -122,18 +103,6 @@ func (c *Chain) seriesWalk(ctx context.Context, pi0, ts []float64, wantAcc bool)
 	return pis, accs, nil
 }
 
-// propagate advances a distribution by dt with automatic method selection.
-// Unlike Transient it accepts an already-propagated distribution whose sum
-// may have drifted by round-off over the steps incremental steps taken so
-// far, renormalizing defensively within the step-scaled drift budget.
-func (c *Chain) propagate(pi []float64, dt float64, steps int) ([]float64, error) {
-	renorm, err := renormalizeDrift(pi, steps)
-	if err != nil {
-		return nil, err
-	}
-	return c.Transient(renorm, dt)
-}
-
 // Drift bounds for incrementally propagated distributions. Each solver pass
 // can misplace probability mass only at round-off scale, so the tolerated
 // deviation of the total mass from one grows linearly with the number of
@@ -151,7 +120,7 @@ const (
 // steps propagated so far. A deviation beyond the step-scaled budget — or a
 // non-finite or non-positive total — is a solver-integrity failure and is
 // returned as an error classifiable as robust.ErrNonFinite, instead of
-// silently handing the drifted vector to Transient to be rejected
+// silently handing the drifted vector to TransientContext to be rejected
 // mid-series with an unclassifiable message.
 func renormalizeDrift(pi []float64, steps int) ([]float64, error) {
 	total := 0.0

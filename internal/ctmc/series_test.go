@@ -1,6 +1,7 @@
 package ctmc
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -11,7 +12,7 @@ func TestTransientSeriesMatchesIndividualSolves(t *testing.T) {
 	c := birthDeath(t, 6, 2.0, 3.0)
 	pi0, _ := c.PointMass(0)
 	ts := []float64{5, 0.5, 2, 0, 5} // unsorted, with a duplicate and zero
-	series, err := c.TransientSeries(pi0, ts)
+	series, err := c.TransientSeriesContext(context.Background(), pi0, ts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -19,7 +20,7 @@ func TestTransientSeriesMatchesIndividualSolves(t *testing.T) {
 		t.Fatalf("got %d results", len(series))
 	}
 	for i, tt := range ts {
-		want, err := c.Transient(pi0, tt)
+		want, err := c.TransientContext(context.Background(), pi0, tt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -48,7 +49,7 @@ func TestTransientSeriesStiff(t *testing.T) {
 	}
 	pi0, _ := c.PointMass(0)
 	ts := []float64{1000, 5000, 10000}
-	series, err := c.TransientSeries(pi0, ts)
+	series, err := c.TransientSeriesContext(context.Background(), pi0, ts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,14 +64,14 @@ func TestTransientSeriesStiff(t *testing.T) {
 func TestTransientSeriesValidation(t *testing.T) {
 	c := twoState(t, 1, 1)
 	pi0, _ := c.PointMass(0)
-	if _, err := c.TransientSeries(pi0, []float64{1, -2}); err == nil {
+	if _, err := c.TransientSeriesContext(context.Background(), pi0, []float64{1, -2}); err == nil {
 		t.Error("negative time accepted")
 	}
-	out, err := c.TransientSeries(pi0, nil)
+	out, err := c.TransientSeriesContext(context.Background(), pi0, nil)
 	if err != nil || out != nil {
 		t.Errorf("empty series: %v, %v", out, err)
 	}
-	if _, err := c.TransientSeries([]float64{1}, []float64{1}); err == nil {
+	if _, err := c.TransientSeriesContext(context.Background(), []float64{1}, []float64{1}); err == nil {
 		t.Error("bad distribution accepted")
 	}
 }
@@ -89,14 +90,14 @@ func TestLargeChainAccumulatedUsesUniformization(t *testing.T) {
 	// guard must still pick uniformization (dense expm on 2n x 2n would be
 	// the wrong tool here).
 	tt := (uniformizationBudget + 1e4) / (c.MaxExitRate() * 1.02)
-	acc, err := c.Accumulated(pi0, tt)
+	acc, err := c.AccumulatedContext(context.Background(), pi0, tt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(sparse.Sum(acc)-tt) > 1e-6*tt {
 		t.Errorf("sum L(t) = %v, want %v", sparse.Sum(acc), tt)
 	}
-	pi, err := c.Transient(pi0, tt)
+	pi, err := c.TransientContext(context.Background(), pi0, tt)
 	if err != nil {
 		t.Fatal(err)
 	}

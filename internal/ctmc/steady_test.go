@@ -1,6 +1,7 @@
 package ctmc
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -112,7 +113,7 @@ func TestAbsorbingAnalysisCompetingRisks(t *testing.T) {
 	if math.Abs(p1-a/(a+b)) > 1e-12 {
 		t.Errorf("P(absorb in 1) = %v, want %v", p1, a/(a+b))
 	}
-	if mt := abs.ExpectedTimeToAbsorption(pi0); math.Abs(mt-1/(a+b)) > 1e-12 {
+	if mt := abs.MeanTime[0]; math.Abs(mt-1/(a+b)) > 1e-12 {
 		t.Errorf("mean time = %v, want %v", mt, 1/(a+b))
 	}
 	if _, err := abs.AbsorptionProbability(pi0, 0); err == nil {
@@ -137,7 +138,7 @@ func TestAbsorbingAnalysisTandem(t *testing.T) {
 		t.Fatal(err)
 	}
 	pi0, _ := c.PointMass(0)
-	if mt := abs.ExpectedTimeToAbsorption(pi0); math.Abs(mt-(1/r0+1/r1)) > 1e-12 {
+	if mt := abs.MeanTime[0]; math.Abs(mt-(1/r0+1/r1)) > 1e-12 {
 		t.Errorf("mean time = %v, want %v", mt, 1/r0+1/r1)
 	}
 	p, err := abs.AbsorptionProbability(pi0, 2)
@@ -172,7 +173,7 @@ func TestTransientAndAccumulatedRewards(t *testing.T) {
 	tt := 0.7
 	s := a + b
 	p0 := b/s + a/s*math.Exp(-s*tt)
-	r, err := c.TransientReward(pi0, tt, []float64{1, 0})
+	r, err := c.TransientRewardContext(context.Background(), pi0, tt, []float64{1, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,82 +182,12 @@ func TestTransientAndAccumulatedRewards(t *testing.T) {
 	}
 	// Accumulated time in state 0 over [0,t].
 	wantAcc := b/s*tt + a/(s*s)*(1-math.Exp(-s*tt))
-	ra, err := c.AccumulatedReward(pi0, tt, []float64{1, 0})
+	ra, err := c.AccumulatedRewardContext(context.Background(), pi0, tt, []float64{1, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(ra-wantAcc) > 1e-9 {
 		t.Errorf("accumulated reward = %v, want %v", ra, wantAcc)
-	}
-}
-
-func TestAccumulatedUntilAbsorption(t *testing.T) {
-	// 0 -> 1 -> 2 (absorbing): expected time in 0 is 1/r0, in 1 is 1/r1.
-	r0, r1 := 2.0, 5.0
-	g := sparse.NewCOO(3, 3)
-	g.Add(0, 1, r0)
-	g.Add(0, 0, -r0)
-	g.Add(1, 2, r1)
-	g.Add(1, 1, -r1)
-	c, err := New(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pi0, _ := c.PointMass(0)
-	// Reward 1 in state 1 only: expected total = 1/r1.
-	got, err := c.AccumulatedUntilAbsorption(pi0, []float64{0, 1, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got-1/r1) > 1e-12 {
-		t.Errorf("reward until absorption = %v, want %v", got, 1/r1)
-	}
-	// Reward 1 everywhere: total lifetime 1/r0 + 1/r1.
-	got, err = c.AccumulatedUntilAbsorption(pi0, []float64{1, 1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got-(1/r0+1/r1)) > 1e-12 {
-		t.Errorf("lifetime = %v, want %v", got, 1/r0+1/r1)
-	}
-	// Mass on the absorbing state earns nothing.
-	got, err = c.AccumulatedUntilAbsorption([]float64{0, 0, 1}, []float64{1, 1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 0 {
-		t.Errorf("absorbed start earned %v", got)
-	}
-	if _, err := c.AccumulatedUntilAbsorption(pi0, []float64{1}); err == nil {
-		t.Error("short reward vector accepted")
-	}
-}
-
-func TestAccumulatedUntilAbsorptionMatchesLongHorizon(t *testing.T) {
-	// For an absorbing chain, reward until absorption equals the t->inf
-	// limit of the accumulated interval reward.
-	mu, lambda := 1e-2, 5.0
-	g := sparse.NewCOO(3, 3)
-	g.Add(0, 1, mu)
-	g.Add(0, 0, -mu)
-	g.Add(1, 2, lambda)
-	g.Add(1, 1, -lambda)
-	c, err := New(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pi0, _ := c.PointMass(0)
-	rates := []float64{1, 0.5, 0}
-	exact, err := c.AccumulatedUntilAbsorption(pi0, rates)
-	if err != nil {
-		t.Fatal(err)
-	}
-	longRun, err := c.AccumulatedReward(pi0, 5000, rates)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(exact-longRun) > 1e-6*exact {
-		t.Errorf("until-absorption %v vs long-horizon %v", exact, longRun)
 	}
 }
 

@@ -16,14 +16,9 @@ const uniformizationBudget = 2e5
 // exponential path is permitted under automatic selection.
 const denseTransientLimit = 1024
 
-// Transient computes π(t) choosing between uniformization and the dense
-// matrix exponential based on the stiffness q·t and the chain size.
-func (c *Chain) Transient(pi0 []float64, t float64) ([]float64, error) {
-	return c.TransientContext(context.Background(), pi0, t)
-}
-
-// TransientContext is Transient under a caller-carried context: the
-// solver pass reports to the obs scope/tracer the context carries, so
+// TransientContext computes π(t) choosing between uniformization and the
+// dense matrix exponential based on the stiffness q·t and the chain size.
+// The solver pass reports to the obs scope/tracer the context carries, so
 // batch layers attribute the cost to the right run.
 func (c *Chain) TransientContext(ctx context.Context, pi0 []float64, t float64) ([]float64, error) {
 	if c.q*t <= uniformizationBudget || c.n > denseTransientLimit {
@@ -33,13 +28,8 @@ func (c *Chain) TransientContext(ctx context.Context, pi0 []float64, t float64) 
 	return c.transientExpm(ctx, pi0, t)
 }
 
-// Accumulated computes ∫₀ᵗ π(u) du with the same automatic method selection
-// as Transient.
-func (c *Chain) Accumulated(pi0 []float64, t float64) ([]float64, error) {
-	return c.AccumulatedContext(context.Background(), pi0, t)
-}
-
-// AccumulatedContext is Accumulated under a caller-carried context.
+// AccumulatedContext computes ∫₀ᵗ π(u) du with the same automatic method
+// selection as TransientContext.
 func (c *Chain) AccumulatedContext(ctx context.Context, pi0 []float64, t float64) ([]float64, error) {
 	if c.q*t <= uniformizationBudget || c.n > denseTransientLimit {
 		_, acc, err := c.uniformize(ctx, pi0, t, UniformizationOptions{}, true)
@@ -62,13 +52,8 @@ func (c *Chain) transientAccumulated(ctx context.Context, pi0 []float64, t float
 	return c.transientAccumulatedExpm(ctx, pi0, t)
 }
 
-// TransientReward returns Σ_s rates[s]·π_s(t): the expected instant-of-time
-// reward at t for the rate-reward vector rates.
-func (c *Chain) TransientReward(pi0 []float64, t float64, rates []float64) (float64, error) {
-	return c.TransientRewardContext(context.Background(), pi0, t, rates)
-}
-
-// TransientRewardContext is TransientReward under a caller-carried context.
+// TransientRewardContext returns Σ_s rates[s]·π_s(t): the expected
+// instant-of-time reward at t for the rate-reward vector rates.
 func (c *Chain) TransientRewardContext(ctx context.Context, pi0 []float64, t float64, rates []float64) (float64, error) {
 	pi, err := c.TransientContext(ctx, pi0, t)
 	if err != nil {
@@ -77,14 +62,8 @@ func (c *Chain) TransientRewardContext(ctx context.Context, pi0 []float64, t flo
 	return dotChecked(rates, pi)
 }
 
-// AccumulatedReward returns Σ_s rates[s]·∫₀ᵗ π_s(u)du: the expected
-// accumulated interval-of-time reward over [0, t].
-func (c *Chain) AccumulatedReward(pi0 []float64, t float64, rates []float64) (float64, error) {
-	return c.AccumulatedRewardContext(context.Background(), pi0, t, rates)
-}
-
-// AccumulatedRewardContext is AccumulatedReward under a caller-carried
-// context.
+// AccumulatedRewardContext returns Σ_s rates[s]·∫₀ᵗ π_s(u)du: the
+// expected accumulated interval-of-time reward over [0, t].
 func (c *Chain) AccumulatedRewardContext(ctx context.Context, pi0 []float64, t float64, rates []float64) (float64, error) {
 	acc, err := c.AccumulatedContext(ctx, pi0, t)
 	if err != nil {

@@ -61,28 +61,15 @@ func (o UniformizationOptions) withDefaults() (UniformizationOptions, error) {
 	return o, nil
 }
 
-// TransientUniformization computes the state-probability vector π(t) from
-// initial distribution pi0 by uniformization. It also works for t == 0
-// (returning a copy of pi0).
-func (c *Chain) TransientUniformization(pi0 []float64, t float64, opts UniformizationOptions) ([]float64, error) {
-	pi, _, err := c.uniformize(context.Background(), pi0, t, opts, false)
-	return pi, err
-}
-
-// AccumulatedUniformization computes L(t) = ∫₀ᵗ π(u) du, the vector of
-// expected total sojourn times per state over [0, t], by the uniformization
-// complementary-CDF formula:
+// uniformize computes the state-probability vector π(t) from initial
+// distribution pi0 by uniformization (t == 0 returns a copy of pi0). When
+// wantAccumulated is true the second return value holds L(t) = ∫₀ᵗ π(u)du,
+// the vector of expected total sojourn times per state over [0, t], by the
+// complementary-CDF formula
 //
 //	L(t) = (1/q) Σ_k (1 − F(k; qt)) · π₀ Pᵏ
 //
 // where F is the Poisson CDF and P the uniformized DTMC matrix.
-func (c *Chain) AccumulatedUniformization(pi0 []float64, t float64, opts UniformizationOptions) ([]float64, error) {
-	_, acc, err := c.uniformize(context.Background(), pi0, t, opts, true)
-	return acc, err
-}
-
-// uniformize runs the shared vector iteration. When wantAccumulated is true
-// the second return value holds ∫₀ᵗ π(u)du; the first holds π(t) always.
 // One call is one solver pass: it counts against the context's solve-pass
 // scope and, when a tracer is attached, emits one "ctmc.uniformize" span
 // annotated with the state count, the Poisson truncation point, and the

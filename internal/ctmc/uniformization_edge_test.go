@@ -1,6 +1,7 @@
 package ctmc
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -38,10 +39,10 @@ func TestUniformizationMaxIterationsCapsProducts(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := c.TransientUniformization(pi0, horizon, UniformizationOptions{
+			_, _, err := c.uniformize(context.Background(), pi0, horizon, UniformizationOptions{
 				MaxIterations:               tc.maxIter,
 				DisableSteadyStateDetection: true,
-			})
+			}, false)
 			if tc.wantErr {
 				if !errors.Is(err, robust.ErrNotConverged) {
 					t.Fatalf("MaxIterations=%d: got %v, want ErrNotConverged", tc.maxIter, err)
@@ -79,17 +80,17 @@ func TestUniformizationOptionValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := c.TransientUniformization(pi0, 1, tc.opts); !errors.Is(err, robust.ErrInvariant) {
+			if _, _, err := c.uniformize(context.Background(), pi0, 1, tc.opts, false); !errors.Is(err, robust.ErrInvariant) {
 				t.Fatalf("options %+v: got %v, want ErrInvariant", tc.opts, err)
 			}
-			if _, err := c.AccumulatedUniformization(pi0, 1, tc.opts); !errors.Is(err, robust.ErrInvariant) {
+			if _, _, err := c.uniformize(context.Background(), pi0, 1, tc.opts, true); !errors.Is(err, robust.ErrInvariant) {
 				t.Fatalf("accumulated with options %+v: got %v, want ErrInvariant", tc.opts, err)
 			}
 		})
 	}
 
 	// The all-zero options still resolve to the documented defaults.
-	if _, err := c.TransientUniformization(pi0, 1, UniformizationOptions{}); err != nil {
+	if _, _, err := c.uniformize(context.Background(), pi0, 1, UniformizationOptions{}, false); err != nil {
 		t.Fatalf("zero options rejected: %v", err)
 	}
 }
@@ -112,7 +113,7 @@ func TestPoissonWindowExtremeMean(t *testing.T) {
 	// the same typed error instead of grinding.
 	c := twoState(t, 1e12, 1e12)
 	pi0, _ := c.PointMass(0)
-	if _, err := c.TransientUniformization(pi0, 1e6, UniformizationOptions{}); !errors.Is(err, robust.ErrNotConverged) {
+	if _, _, err := c.uniformize(context.Background(), pi0, 1e6, UniformizationOptions{}, false); !errors.Is(err, robust.ErrNotConverged) {
 		t.Fatalf("qt=1e18 solve: got %v, want ErrNotConverged", err)
 	}
 

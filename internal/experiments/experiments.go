@@ -10,6 +10,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"sort"
@@ -23,8 +24,11 @@ type Experiment struct {
 	Title string
 	// Paper summarises what the paper reports for this artefact.
 	Paper string
-	// Run executes the experiment and writes a human-readable report.
-	Run func(w io.Writer) error
+	// Run executes the experiment and writes a human-readable report. ctx
+	// carries the run's tracer and deadline: the long experiments (valsim,
+	// the posterior and optimizer studies) stop early once it is done,
+	// with an error wrapping robust.ErrCanceled.
+	Run func(ctx context.Context, w io.Writer) error
 }
 
 // registry holds all experiments keyed by ID.

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 )
@@ -150,7 +151,7 @@ func TestAllReportsRun(t *testing.T) {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
 			var buf bytes.Buffer
-			if err := e.Run(&buf); err != nil {
+			if err := e.Run(context.Background(), &buf); err != nil {
 				t.Fatalf("%s: %v", e.ID, err)
 			}
 			if buf.Len() == 0 {
@@ -177,7 +178,7 @@ func TestValsimPasses(t *testing.T) {
 	}
 	cfg := DefaultValsimConfig()
 	cfg.Paths = 8000 // lighter than the CLI default, still tight enough
-	rows, err := RunValsim(cfg)
+	rows, err := RunValsimContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

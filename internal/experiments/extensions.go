@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -12,7 +13,7 @@ import (
 
 // GammaAblation evaluates Y(φ) at the base parameters under the three γ
 // policies.
-func GammaAblation() (map[core.GammaPolicy]Curve, error) {
+func GammaAblation(ctx context.Context) (map[core.GammaPolicy]Curve, error) {
 	a, err := core.NewAnalyzer(mdcd.DefaultParams())
 	if err != nil {
 		return nil, err
@@ -22,7 +23,7 @@ func GammaAblation() (map[core.GammaPolicy]Curve, error) {
 	for _, pol := range []core.GammaPolicy{core.GammaPaperTauBar, core.GammaConditionalMean, core.GammaNone} {
 		c := Curve{Label: pol.String(), Params: mdcd.DefaultParams(), Phis: phis}
 		for _, phi := range phis {
-			r, err := a.EvaluateWithPolicy(phi, pol)
+			r, err := a.EvaluateWithPolicy(ctx, phi, pol)
 			if err != nil {
 				return nil, err
 			}
@@ -57,7 +58,7 @@ func init() {
 		ID:    "costs",
 		Title: "Safeguard cost accounting: expected AT/checkpoint counts during guarded operation",
 		Paper: "implicit in Table 2 (time fractions); made explicit here via impulse rewards",
-		Run: func(w io.Writer) error {
+		Run: func(ctx context.Context, w io.Writer) error {
 			p := mdcd.DefaultParams()
 			gp, err := mdcd.BuildRMGp(p)
 			if err != nil {
@@ -75,7 +76,7 @@ func init() {
 			if err != nil {
 				return err
 			}
-			best, err := a.OptimizePhi(core.OptimizeOptions{Tolerance: 50})
+			best, err := a.OptimizePhiContext(ctx, core.OptimizeOptions{Tolerance: 50})
 			if err != nil {
 				return err
 			}
@@ -105,8 +106,8 @@ func init() {
 		ID:    "ablation-gamma",
 		Title: "Ablation: gamma treatment (paper tau-bar vs conditional mean vs no discount)",
 		Paper: "the paper fixes gamma = 1 - tau/theta with tau the Table 1 int tau*h reward; alternatives quantify that choice",
-		Run: func(w io.Writer) error {
-			curves, err := GammaAblation()
+		Run: func(ctx context.Context, w io.Writer) error {
+			curves, err := GammaAblation(ctx)
 			if err != nil {
 				return err
 			}
@@ -124,7 +125,7 @@ func init() {
 		ID:    "ablation-phases",
 		Title: "Ablation: Erlang-k safeguard durations in RMGp",
 		Paper: "the paper assumes exponential AT/checkpoint durations; overhead fractions should depend on the means only",
-		Run: func(w io.Writer) error {
+		Run: func(_ context.Context, w io.Writer) error {
 			stages := []int{1, 2, 4, 8}
 			ms, err := PhaseAblation(stages)
 			if err != nil {
@@ -154,8 +155,8 @@ func init() {
 		ID:    "sensitivity",
 		Title: "Local sensitivity of the optimal decision to every parameter",
 		Paper: "systematises the one-at-a-time studies of Figures 9-12 into elasticities",
-		Run: func(w io.Writer) error {
-			results, err := sensitivity.Analyze(mdcd.DefaultParams(), sensitivity.Options{})
+		Run: func(ctx context.Context, w io.Writer) error {
+			results, err := sensitivity.Analyze(ctx, mdcd.DefaultParams(), sensitivity.Options{})
 			if err != nil {
 				return err
 			}

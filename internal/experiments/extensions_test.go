@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -8,7 +9,7 @@ import (
 )
 
 func TestGammaAblationOrdering(t *testing.T) {
-	curves, err := GammaAblation()
+	curves, err := GammaAblation(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

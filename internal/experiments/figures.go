@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"strconv"
@@ -171,7 +172,7 @@ func init() {
 		ID:    "fig9",
 		Title: "Figure 9: effect of fault-manifestation rate on optimal G-OP duration (theta=10000)",
 		Paper: "optimal phi = 7000 at mu_new=1e-4 and 5000 at mu_new=0.5e-4; max Y ≈ 1.45",
-		Run: func(w io.Writer) error {
+		Run: func(_ context.Context, w io.Writer) error {
 			curves, err := Figure9Curves()
 			if err != nil {
 				return err
@@ -184,7 +185,7 @@ func init() {
 		ID:    "fig10",
 		Title: "Figure 10: effect of performance overhead on optimal G-OP duration (theta=10000)",
 		Paper: "optimal phi drops from 7000 to 6000 when alpha=beta drop from 6000 to 2500",
-		Run: func(w io.Writer) error {
+		Run: func(_ context.Context, w io.Writer) error {
 			curves, err := Figure10Curves()
 			if err != nil {
 				return err
@@ -197,7 +198,7 @@ func init() {
 		ID:    "fig11",
 		Title: "Figure 11: effect of AT coverage on optimal G-OP duration (theta=10000)",
 		Paper: "optimal phi stays at 6000 for c in {0.95, 0.75, 0.50}; max Y drops from ≈1.45 to ≈1.15",
-		Run: func(w io.Writer) error {
+		Run: func(_ context.Context, w io.Writer) error {
 			curves, err := Figure11Curves()
 			if err != nil {
 				return err
@@ -210,7 +211,7 @@ func init() {
 		ID:    "fig11x",
 		Title: "Section 6 text: very low AT coverage (c = 0.20 and 0.10)",
 		Paper: "c=0.20: max Y ≈ 1.06 at phi=4000 (too small to justify G-OP); c=0.10: Y < 1 and decreasing",
-		Run: func(w io.Writer) error {
+		Run: func(_ context.Context, w io.Writer) error {
 			curves, err := Figure11xCurves()
 			if err != nil {
 				return err
@@ -223,7 +224,7 @@ func init() {
 		ID:    "fig12",
 		Title: "Figure 12: effect of fault-manifestation rate on optimal G-OP duration (theta=5000)",
 		Paper: "optimal phi = 2500 (mu_new=1e-4) and 2000 (mu_new=0.5e-4); steeper post-peak decline than theta=10000",
-		Run: func(w io.Writer) error {
+		Run: func(_ context.Context, w io.Writer) error {
 			curves, err := Figure12Curves()
 			if err != nil {
 				return err

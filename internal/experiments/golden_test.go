@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"os"
 	"path/filepath"
@@ -53,7 +54,7 @@ func TestGoldenFigureCurves(t *testing.T) {
 // experiments plus the deterministic gamma ablation.
 func goldenCurves(id string) ([]Curve, error) {
 	if id == "ablation-gamma" {
-		byPolicy, err := GammaAblation()
+		byPolicy, err := GammaAblation(context.Background())
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -19,14 +20,14 @@ type RecoveryRow struct {
 // RecoveryAblation relaxes the paper's perfect-recovery assumption: with
 // probability 1−s a detected error's recovery fails (and the system fails
 // with it). For each s it re-optimises φ.
-func RecoveryAblation(successes []float64) ([]RecoveryRow, error) {
+func RecoveryAblation(ctx context.Context, successes []float64) ([]RecoveryRow, error) {
 	rows := make([]RecoveryRow, 0, len(successes))
 	for _, s := range successes {
 		a, err := core.NewAnalyzerWithOptions(mdcd.DefaultParams(), core.Options{RecoverySuccess: s})
 		if err != nil {
 			return nil, err
 		}
-		best, err := a.OptimizePhi(core.OptimizeOptions{Tolerance: 50})
+		best, err := a.OptimizePhiContext(ctx, core.OptimizeOptions{Tolerance: 50})
 		if err != nil {
 			return nil, err
 		}
@@ -40,9 +41,9 @@ func init() {
 		ID:    "ablation-recovery",
 		Title: "Ablation: imperfect error recovery (paper assumes recovery always succeeds)",
 		Paper: "\"the system will recover from an error successfully as long as the detection is successful\" (Section 2)",
-		Run: func(w io.Writer) error {
+		Run: func(ctx context.Context, w io.Writer) error {
 			successes := []float64{1.0, 0.95, 0.8, 0.5, 0.2}
-			rows, err := RecoveryAblation(successes)
+			rows, err := RecoveryAblation(ctx, successes)
 			if err != nil {
 				return err
 			}

@@ -94,7 +94,7 @@ func RunAll(ctx context.Context, w io.Writer, opts RunOptions) (*RunReport, erro
 	// One buffer per experiment, indexed like the batch, written only by
 	// the worker that owns the item.
 	bufs := make([]bytes.Buffer, len(all))
-	pr, err := robust.RunBatch(ctx, indicesOf(all), func(_ context.Context, i int) (struct{}, error) {
+	pr, err := robust.RunBatch(ctx, indicesOf(all), func(ictx context.Context, i int) (struct{}, error) {
 		e := all[i]
 		out := io.Writer(&bufs[i])
 		var file *os.File
@@ -106,7 +106,7 @@ func RunAll(ctx context.Context, w io.Writer, opts RunOptions) (*RunReport, erro
 			}
 			out = io.MultiWriter(&bufs[i], file)
 		}
-		err := e.Run(out)
+		err := e.Run(ictx, out)
 		if file != nil {
 			if cerr := file.Close(); err == nil {
 				err = cerr

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"guardedop/internal/robust"
 )
@@ -41,14 +42,14 @@ func TestRunAllKeepGoingRecordsFailuresAndContinues(t *testing.T) {
 	withTempExperiment(t, Experiment{
 		ID:    "aa-failing",
 		Title: "injected failure",
-		Run: func(w io.Writer) error {
+		Run: func(_ context.Context, w io.Writer) error {
 			return errors.New("injected solver blowup")
 		},
 	})
 	withTempExperiment(t, Experiment{
 		ID:    "zz-panicking",
 		Title: "injected panic",
-		Run: func(w io.Writer) error {
+		Run: func(_ context.Context, w io.Writer) error {
 			panic("index out of range")
 		},
 	})
@@ -81,7 +82,7 @@ func TestRunAllStopsWithoutKeepGoing(t *testing.T) {
 	withTempExperiment(t, Experiment{
 		ID:    "aa-failing",
 		Title: "injected failure",
-		Run:   func(w io.Writer) error { return errors.New("boom") },
+		Run:   func(_ context.Context, w io.Writer) error { return errors.New("boom") },
 	})
 	var sb strings.Builder
 	rep, err := RunAll(context.Background(), &sb, RunOptions{})
@@ -103,6 +104,29 @@ func TestRunAllCancellation(t *testing.T) {
 	}
 }
 
+// TestRunAllDeadlineStopsRunningExperiment lets the batch deadline expire
+// while an experiment is already running: the experiment must see the
+// per-item context and stop early with ErrCanceled instead of running to
+// completion. ext-validation stops between posterior draws; valsim, which
+// takes ~50 s uninterrupted on two cores, stops before its next φ point.
+func TestRunAllDeadlineStopsRunningExperiment(t *testing.T) {
+	for _, id := range []string{"ext-validation", "valsim"} {
+		t.Run(id, func(t *testing.T) {
+			fastExperiments(t, id)
+			ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+			defer cancel()
+			start := time.Now()
+			_, err := RunAll(ctx, io.Discard, RunOptions{KeepGoing: true})
+			if !errors.Is(err, robust.ErrCanceled) {
+				t.Fatalf("err = %v, want ErrCanceled", err)
+			}
+			if elapsed := time.Since(start); elapsed > 30*time.Second {
+				t.Errorf("canceled run took %v", elapsed)
+			}
+		})
+	}
+}
+
 // TestRunAllKeepGoingFailedCreateOmitsDividerAndReport is the regression
 // for the stray-divider bug: an experiment whose output file cannot be
 // created must be recorded as failed and contribute neither report text
@@ -112,7 +136,7 @@ func TestRunAllKeepGoingFailedCreateOmitsDividerAndReport(t *testing.T) {
 	withTempExperiment(t, Experiment{
 		ID:    "aa-blocked",
 		Title: "output file cannot be created",
-		Run: func(w io.Writer) error {
+		Run: func(_ context.Context, w io.Writer) error {
 			fmt.Fprintln(w, "MUST-NOT-APPEAR")
 			return nil
 		},
@@ -157,7 +181,7 @@ func TestRunAllParallelOutputInIDOrder(t *testing.T) {
 	bbDone := make(chan struct{})
 	withTempExperiment(t, Experiment{
 		ID: "aa-last", Title: "finishes last",
-		Run: func(w io.Writer) error {
+		Run: func(_ context.Context, w io.Writer) error {
 			<-bbDone
 			fmt.Fprintln(w, "REPORT-aa")
 			return nil
@@ -165,7 +189,7 @@ func TestRunAllParallelOutputInIDOrder(t *testing.T) {
 	})
 	withTempExperiment(t, Experiment{
 		ID: "bb-middle", Title: "finishes second",
-		Run: func(w io.Writer) error {
+		Run: func(_ context.Context, w io.Writer) error {
 			<-ccDone
 			fmt.Fprintln(w, "REPORT-bb")
 			close(bbDone)
@@ -174,7 +198,7 @@ func TestRunAllParallelOutputInIDOrder(t *testing.T) {
 	})
 	withTempExperiment(t, Experiment{
 		ID: "cc-first", Title: "finishes first",
-		Run: func(w io.Writer) error {
+		Run: func(_ context.Context, w io.Writer) error {
 			fmt.Fprintln(w, "REPORT-cc")
 			close(ccDone)
 			return nil

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
@@ -26,7 +27,7 @@ type StaggerRow struct {
 // risk of several upgrades compounds (it multiplies: simultaneous k-fold
 // upgrades survive like exp(−k·µ_new·θ), staggering like
 // exp(−µ_new·θ) — independent of k).
-func StaggerStudy(p mdcd.Params, n int) ([]StaggerRow, error) {
+func StaggerStudy(ctx context.Context, p mdcd.Params, n int) ([]StaggerRow, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("experiments: stagger study needs n >= 2, got %d", n)
 	}
@@ -40,7 +41,7 @@ func StaggerStudy(p mdcd.Params, n int) ([]StaggerRow, error) {
 				mus[i] = p.MuOld
 			}
 		}
-		together, err := survival(p, mus, p.Theta)
+		together, err := survival(ctx, p, mus, p.Theta)
 		if err != nil {
 			return nil, err
 		}
@@ -54,7 +55,7 @@ func StaggerStudy(p mdcd.Params, n int) ([]StaggerRow, error) {
 			musStag[i] = p.MuOld
 		}
 		musStag[0] = p.MuNew
-		perPhase, err := survival(p, musStag, p.Theta/float64(k))
+		perPhase, err := survival(ctx, p, musStag, p.Theta/float64(k))
 		if err != nil {
 			return nil, err
 		}
@@ -67,12 +68,12 @@ func StaggerStudy(p mdcd.Params, n int) ([]StaggerRow, error) {
 	return rows, nil
 }
 
-func survival(p mdcd.Params, mus []float64, t float64) (float64, error) {
+func survival(ctx context.Context, p mdcd.Params, mus []float64, t float64) (float64, error) {
 	nd, err := mdcd.BuildRMNdN(p, mus)
 	if err != nil {
 		return 0, err
 	}
-	return nd.NoFailureProbability(t)
+	return nd.NoFailureProbability(ctx, t)
 }
 
 func init() {
@@ -80,10 +81,10 @@ func init() {
 		ID:    "ext-stagger",
 		Title: "Extension: simultaneous vs staggered upgrades in a 4-process system (RMNdN)",
 		Paper: "beyond the paper's 2-process study; direction of its reference [16] (general distributed systems)",
-		Run: func(w io.Writer) error {
+		Run: func(ctx context.Context, w io.Writer) error {
 			p := mdcd.DefaultParams()
 			const n = 4
-			rows, err := StaggerStudy(p, n)
+			rows, err := StaggerStudy(ctx, p, n)
 			if err != nil {
 				return err
 			}

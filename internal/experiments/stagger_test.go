@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -9,7 +10,7 @@ import (
 
 func TestStaggerStudyCompounds(t *testing.T) {
 	p := mdcd.DefaultParams()
-	rows, err := StaggerStudy(p, 4)
+	rows, err := StaggerStudy(context.Background(), p, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +36,7 @@ func TestStaggerStudyCompounds(t *testing.T) {
 }
 
 func TestStaggerStudyValidation(t *testing.T) {
-	if _, err := StaggerStudy(mdcd.DefaultParams(), 1); err == nil {
+	if _, err := StaggerStudy(context.Background(), mdcd.DefaultParams(), 1); err == nil {
 		t.Error("n=1 accepted")
 	}
 }

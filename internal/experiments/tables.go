@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"strconv"
@@ -11,14 +12,14 @@ import (
 
 // Table1Measures solves the four Table 1 constituent measures in RMGd at
 // the given φ values under the base parameters.
-func Table1Measures(phis []float64) ([]mdcd.GdMeasures, error) {
+func Table1Measures(ctx context.Context, phis []float64) ([]mdcd.GdMeasures, error) {
 	gd, err := mdcd.BuildRMGd(mdcd.DefaultParams())
 	if err != nil {
 		return nil, err
 	}
 	out := make([]mdcd.GdMeasures, 0, len(phis))
 	for _, phi := range phis {
-		m, err := gd.Measures(phi)
+		m, err := gd.MeasuresContext(ctx, phi)
 		if err != nil {
 			return nil, err
 		}
@@ -52,9 +53,9 @@ func init() {
 		ID:    "table1",
 		Title: "Table 1: constituent measures and SAN reward structures in RMGd",
 		Paper: "four predicate-rate reward structures over (detected, failure); solved as instant-of-time and accumulated rewards",
-		Run: func(w io.Writer) error {
+		Run: func(ctx context.Context, w io.Writer) error {
 			phis := []float64{1000, 3000, 5000, 7000, 9000, 10000}
-			ms, err := Table1Measures(phis)
+			ms, err := Table1Measures(ctx, phis)
 			if err != nil {
 				return err
 			}
@@ -94,7 +95,7 @@ func init() {
 		ID:    "table2",
 		Title: "Table 2: constituent measures and SAN reward structures in RMGp",
 		Paper: "steady-state overheads; derived parameters rho1=0.98, rho2=0.95 at alpha=beta=6000 and rho1=0.95, rho2=0.90 at alpha=beta=2500",
-		Run: func(w io.Writer) error {
+		Run: func(_ context.Context, w io.Writer) error {
 			fast, slow, err := Table2Measures()
 			if err != nil {
 				return err
@@ -121,7 +122,7 @@ func init() {
 		ID:    "table3",
 		Title: "Table 3: parameter value assignment",
 		Paper: "theta=10000, lambda=1200, mu_new=1e-4, mu_old=1e-8, c=0.95, p_ext=0.1, alpha=6000, beta=6000 (time in hours)",
-		Run: func(w io.Writer) error {
+		Run: func(_ context.Context, w io.Writer) error {
 			p := mdcd.DefaultParams()
 			fmt.Fprintln(w, "Table 3 reproduction: base parameter assignment (time in hours)")
 			fmt.Fprintln(w)

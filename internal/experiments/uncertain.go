@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
@@ -13,12 +14,12 @@ import (
 // UncertaintyStudy runs the posterior-propagation extension for a given
 // onboard-validation outcome: prior knowledge plus (faults, hours) of
 // validation exposure.
-func UncertaintyStudy(prior uncertainty.Gamma, faults int, hours float64, opts uncertainty.PropagateOptions) (*uncertainty.Propagation, uncertainty.Gamma, error) {
+func UncertaintyStudy(ctx context.Context, prior uncertainty.Gamma, faults int, hours float64, opts uncertainty.PropagateOptions) (*uncertainty.Propagation, uncertainty.Gamma, error) {
 	posterior, err := uncertainty.PosteriorRate(prior, faults, hours)
 	if err != nil {
 		return nil, uncertainty.Gamma{}, err
 	}
-	prop, err := uncertainty.Propagate(mdcd.DefaultParams(), posterior, opts)
+	prop, err := uncertainty.PropagateContext(ctx, mdcd.DefaultParams(), posterior, opts)
 	return prop, posterior, err
 }
 
@@ -27,14 +28,14 @@ func init() {
 		ID:    "ext-uncertainty",
 		Title: "Extension: Bayesian uncertainty in mu_new from onboard validation",
 		Paper: "Section 2 motivates estimating mu_new by onboard validation with Bayesian reliability analysis; this propagates that posterior through the decision",
-		Run: func(w io.Writer) error {
+		Run: func(ctx context.Context, w io.Writer) error {
 			// A weakly informative prior (mean 2e-4) updated by a
 			// fault-free 10000-hour onboard-validation campaign pulls the
 			// posterior mean to 1e-4 — the Table 3 value — with honest
 			// spread.
 			prior := uncertainty.Gamma{Shape: 2, Rate: 1e4}
 			const faults, hours = 0, 10000.0
-			prop, posterior, err := UncertaintyStudy(prior, faults, hours,
+			prop, posterior, err := UncertaintyStudy(ctx, prior, faults, hours,
 				uncertainty.PropagateOptions{Samples: 200, Seed: 2002, GridPoints: 10})
 			if err != nil {
 				return err

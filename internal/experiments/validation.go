@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -25,10 +26,10 @@ type ValidationRow struct {
 // posterior downward without sharpening its relative spread (the Gamma
 // shape only grows when faults are observed), so its value lies in moving
 // the decision, not in certifying it.
-func ValidationStudy(prior uncertainty.Gamma, exposures []float64, opts uncertainty.PropagateOptions) ([]ValidationRow, error) {
+func ValidationStudy(ctx context.Context, prior uncertainty.Gamma, exposures []float64, opts uncertainty.PropagateOptions) ([]ValidationRow, error) {
 	rows := make([]ValidationRow, 0, len(exposures))
 	for _, hours := range exposures {
-		prop, posterior, err := UncertaintyStudy(prior, 0, hours, opts)
+		prop, posterior, err := UncertaintyStudy(ctx, prior, 0, hours, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -49,10 +50,10 @@ func init() {
 		ID:    "ext-validation",
 		Title: "Extension: how much onboard validation narrows the duration decision",
 		Paper: "Figure 1's first GSU stage; the paper uses validation to fix mu_new, this quantifies the residual spread",
-		Run: func(w io.Writer) error {
+		Run: func(ctx context.Context, w io.Writer) error {
 			prior := uncertainty.Gamma{Shape: 2, Rate: 1e4}
 			exposures := []float64{0, 2500, 10000, 40000}
-			rows, err := ValidationStudy(prior, exposures,
+			rows, err := ValidationStudy(ctx, prior, exposures,
 				uncertainty.PropagateOptions{Samples: 120, Seed: 11, GridPoints: 10})
 			if err != nil {
 				return err

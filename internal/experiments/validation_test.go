@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"testing"
 
 	"guardedop/internal/uncertainty"
@@ -8,7 +9,7 @@ import (
 
 func TestValidationStudyShiftsDecisionDown(t *testing.T) {
 	prior := uncertainty.Gamma{Shape: 2, Rate: 1e4}
-	rows, err := ValidationStudy(prior, []float64{0, 40000},
+	rows, err := ValidationStudy(context.Background(), prior, []float64{0, 40000},
 		uncertainty.PropagateOptions{Samples: 60, Seed: 3, GridPoints: 10})
 	if err != nil {
 		t.Fatal(err)
@@ -33,7 +34,7 @@ func TestValidationStudyShiftsDecisionDown(t *testing.T) {
 }
 
 func TestValidationStudyPropagatesErrors(t *testing.T) {
-	if _, err := ValidationStudy(uncertainty.Gamma{}, []float64{0}, uncertainty.PropagateOptions{}); err == nil {
+	if _, err := ValidationStudy(context.Background(), uncertainty.Gamma{}, []float64{0}, uncertainty.PropagateOptions{}); err == nil {
 		t.Error("invalid prior accepted")
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"guardedop/internal/core"
 	"guardedop/internal/mdcd"
 	"guardedop/internal/obs"
+	"guardedop/internal/robust"
 	"guardedop/internal/sim"
 	"guardedop/internal/textplot"
 )
@@ -49,16 +50,13 @@ type ValsimRow struct {
 	PerPathY   float64
 }
 
-// RunValsim executes the cross-validation and returns per-φ rows.
-func RunValsim(cfg ValsimConfig) ([]ValsimRow, error) {
-	return RunValsimContext(context.Background(), cfg)
-}
-
-// RunValsimContext is RunValsim under a caller-carried context: the
-// analytic evaluations and a per-φ valsim.point span report to the
+// RunValsimContext executes the cross-validation and returns per-φ rows.
+// The analytic evaluations and a per-φ valsim.point span report to the
 // context's tracer, so `gsusim -trace`/`-metrics` can attribute the
 // cross-validation's solver budget (the simulation itself is pure
-// Monte-Carlo and contributes wall time, not solver passes).
+// Monte-Carlo and contributes wall time, not solver passes). The context
+// is checked before each φ point: a canceled run returns an error
+// wrapping robust.ErrCanceled without simulating the remaining points.
 func RunValsimContext(ctx context.Context, cfg ValsimConfig) ([]ValsimRow, error) {
 	analyzer, err := core.NewAnalyzer(cfg.Params)
 	if err != nil {
@@ -71,6 +69,9 @@ func RunValsimContext(ctx context.Context, cfg ValsimConfig) ([]ValsimRow, error
 	}
 	rows := make([]ValsimRow, 0, len(cfg.Phis))
 	for _, phi := range cfg.Phis {
+		if cerr := ctx.Err(); cerr != nil {
+			return nil, fmt.Errorf("experiments: valsim stopped before phi=%g: %w (%v)", phi, robust.ErrCanceled, cerr)
+		}
 		pctx, sp := obs.StartSpan(ctx, "valsim.point")
 		sp.SetFloat("phi", phi)
 		ana, err := analyzer.EvaluateContext(pctx, phi)
@@ -106,18 +107,18 @@ func init() {
 		ID:    "valsim",
 		Title: "Cross-validation: model translation vs Monte-Carlo simulation of the monolithic process",
 		Paper: "methodological check (the paper proposes testbed-simulation validation as future work)",
-		Run: func(w io.Writer) error {
+		Run: func(ctx context.Context, w io.Writer) error {
 			cfg := DefaultValsimConfig()
-			return runValsimReport(w, cfg)
+			return runValsimReport(ctx, w, cfg)
 		},
 	})
 }
 
-func runValsimReport(w io.Writer, cfg ValsimConfig) error {
+func runValsimReport(ctx context.Context, w io.Writer, cfg ValsimConfig) error {
 	fmt.Fprintln(w, "Translation-vs-simulation cross-validation")
 	fmt.Fprintf(w, "(scaled parameters: theta=%g, mu_new=%g, lambda=%g; %d paths per point)\n\n",
 		cfg.Params.Theta, cfg.Params.MuNew, cfg.Params.Lambda, cfg.Paths)
-	rows, err := RunValsim(cfg)
+	rows, err := RunValsimContext(ctx, cfg)
 	if err != nil {
 		return err
 	}

@@ -1,6 +1,7 @@
 package mdcd
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -64,7 +65,7 @@ func TestRMGdMeasurePartition(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, phi := range []float64{0, 100, 1000, 5000, 10000} {
-		m, err := gd.Measures(phi)
+		m, err := gd.MeasuresContext(context.Background(), phi)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,7 +85,7 @@ func TestRMGdPA1MatchesExponential(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, phi := range []float64{1000, 5000, 9000} {
-		m, err := gd.Measures(phi)
+		m, err := gd.MeasuresContext(context.Background(), phi)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,7 +105,7 @@ func TestRMGdDetectionSplitByCoverage(t *testing.T) {
 		t.Fatal(err)
 	}
 	phi := 7000.0
-	m, err := gd.Measures(phi)
+	m, err := gd.MeasuresContext(context.Background(), phi)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +130,7 @@ func TestRMGdMeasuresMonotoneInPhi(t *testing.T) {
 	}
 	prevH, prevA1 := -1.0, 2.0
 	for _, phi := range []float64{0, 1000, 3000, 6000, 10000} {
-		m, err := gd.Measures(phi)
+		m, err := gd.MeasuresContext(context.Background(), phi)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,7 +149,7 @@ func TestRMGdAtPhiZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := gd.Measures(0)
+	m, err := gd.MeasuresContext(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +168,7 @@ func TestRMGdIntTauHMatchesClosedForm(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, phi := range []float64{2000, 7000} {
-		m, err := gd.Measures(phi)
+		m, err := gd.MeasuresContext(context.Background(), phi)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -188,7 +189,7 @@ func TestRMGdFullCoverageEliminatesUndetectedFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := gd.Measures(8000)
+	m, err := gd.MeasuresContext(context.Background(), 8000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +206,7 @@ func TestRMGdZeroCoverageNeverDetects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := gd.Measures(8000)
+	m, err := gd.MeasuresContext(context.Background(), 8000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -442,11 +443,11 @@ func TestGdOptionsValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ma, err := a.Measures(5000)
+	ma, err := a.MeasuresContext(context.Background(), 5000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mb, err := b.Measures(5000)
+	mb, err := b.MeasuresContext(context.Background(), 5000)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -113,17 +113,12 @@ func (r *RMGd) Table1Structures() map[string]*reward.Structure {
 	}
 }
 
-// Measures solves all Table 1 constituent measures at G-OP duration phi,
-// one full transient or accumulated solve per measure against the reward
-// vectors prebuilt at model construction. This is the point-wise reference
-// path; φ-grids should use MeasuresSeries, which shares a single
-// incremental propagation across the whole grid.
-func (r *RMGd) Measures(phi float64) (GdMeasures, error) {
-	return r.MeasuresContext(context.Background(), phi)
-}
-
-// MeasuresContext is Measures under a caller-carried context: one
-// "mdcd.RMGd.measures" span covers the call, with a child
+// MeasuresContext solves all Table 1 constituent measures at G-OP
+// duration phi, one full transient or accumulated solve per measure
+// against the reward vectors prebuilt at model construction. This is the
+// point-wise reference path; φ-grids should use MeasuresSeriesContext,
+// which shares a single incremental propagation across the whole grid.
+// One "mdcd.RMGd.measures" span covers the call, with a child
 // "mdcd.measure" span per Table 1 constituent so a trace shows which
 // measure each solver pass served.
 func (r *RMGd) MeasuresContext(ctx context.Context, phi float64) (GdMeasures, error) {
@@ -192,17 +187,13 @@ func (r *RMGd) MeasuresFromSolution(phi float64, pi, acc []float64) (GdMeasures,
 	return out, nil
 }
 
-// MeasuresSeries solves the Table 1 measures for every duration in phis
-// (unsorted input is aligned with the output) with one shared incremental
-// propagation: a single combined transient+accumulated solver pass per gap
-// of the sorted grid serves all six measures of every point, instead of the
-// six independent full-horizon solves Measures spends per φ.
-func (r *RMGd) MeasuresSeries(phis []float64) ([]GdMeasures, error) {
-	return r.MeasuresSeriesContext(context.Background(), phis)
-}
-
-// MeasuresSeriesContext is MeasuresSeries under a caller-carried context:
-// the shared propagation runs inside one "mdcd.RMGd.measures_series" span.
+// MeasuresSeriesContext solves the Table 1 measures for every duration in
+// phis (unsorted input is aligned with the output) with one shared
+// incremental propagation: a single combined transient+accumulated solver
+// pass per gap of the sorted grid serves all six measures of every point,
+// instead of the six independent full-horizon solves MeasuresContext
+// spends per φ. The shared propagation runs inside one
+// "mdcd.RMGd.measures_series" span.
 func (r *RMGd) MeasuresSeriesContext(ctx context.Context, phis []float64) ([]GdMeasures, error) {
 	ctx, sp := obs.StartSpan(ctx, "mdcd.RMGd.measures_series")
 	defer sp.End()

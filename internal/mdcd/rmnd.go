@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 
-	"guardedop/internal/obs"
 	"guardedop/internal/san"
 	"guardedop/internal/statespace"
 )
@@ -106,17 +105,7 @@ func BuildRMNd(p Params, mu1 float64) (*RMNd, error) {
 // expected instant-of-time reward with predicate MARK(failure)==0 and rate 1
 // (paper §5.2.3).
 func (r *RMNd) NoFailureProbability(t float64) (float64, error) {
-	return r.NoFailureProbabilityContext(context.Background(), t)
-}
-
-// NoFailureProbabilityContext is NoFailureProbability under a
-// caller-carried context: the pass runs inside one
-// "mdcd.RMNd.no_failure" span.
-func (r *RMNd) NoFailureProbabilityContext(ctx context.Context, t float64) (float64, error) {
-	ctx, sp := obs.StartSpan(ctx, "mdcd.RMNd.no_failure")
-	defer sp.End()
-	sp.SetFloat("t", t)
-	return r.Space.Chain.TransientRewardContext(ctx, r.Space.Initial, t, r.noFailRates)
+	return r.Space.Chain.TransientRewardContext(context.Background(), r.Space.Initial, t, r.noFailRates)
 }
 
 // NoFailureFromSolution reads P(no failure) off an already-solved
@@ -131,30 +120,3 @@ func (r *RMNd) NoFailureFromSolution(pi []float64) (float64, error) {
 // layer). The returned slice is the model's backing array; callers must
 // not modify it.
 func (r *RMNd) NoFailureRates() []float64 { return r.noFailRates }
-
-// NoFailureProbabilitySeries returns P(no failure by t) for every horizon
-// in ts (unsorted input is aligned with the output), sharing one
-// incremental propagation across the grid: one solver pass per gap instead
-// of one full solve per horizon.
-func (r *RMNd) NoFailureProbabilitySeries(ts []float64) ([]float64, error) {
-	return r.NoFailureProbabilitySeriesContext(context.Background(), ts)
-}
-
-// NoFailureProbabilitySeriesContext is NoFailureProbabilitySeries under a
-// caller-carried context.
-func (r *RMNd) NoFailureProbabilitySeriesContext(ctx context.Context, ts []float64) ([]float64, error) {
-	ctx, sp := obs.StartSpan(ctx, "mdcd.RMNd.no_failure_series")
-	defer sp.End()
-	sp.SetInt("points", int64(len(ts)))
-	pis, err := r.Space.Chain.TransientSeriesContext(ctx, r.Space.Initial, ts)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, len(ts))
-	for i, pi := range pis {
-		if out[i], err = dotReward("P(no failure)", r.noFailRates, pi); err != nil {
-			return nil, fmt.Errorf("mdcd: no-failure probability at t=%g: %w", ts[i], err)
-		}
-	}
-	return out, nil
-}

@@ -1,6 +1,7 @@
 package mdcd
 
 import (
+	"context"
 	"fmt"
 
 	"guardedop/internal/compose"
@@ -113,12 +114,12 @@ func BuildRMNdN(p Params, mus []float64) (*RMNdN, error) {
 func ctnName(i int) string { return fmt.Sprintf("ctn%d", i) }
 
 // NoFailureProbability returns P(no failure by t) for the n-process system.
-func (r *RMNdN) NoFailureProbability(t float64) (float64, error) {
+func (r *RMNdN) NoFailureProbability(ctx context.Context, t float64) (float64, error) {
 	rates := make([]float64, r.Space.NumStates())
 	for i, mk := range r.Space.States {
 		if mk.Get(r.Failure) == 0 {
 			rates[i] = 1
 		}
 	}
-	return r.Space.Chain.TransientReward(r.Space.Initial, t, rates)
+	return r.Space.Chain.TransientRewardContext(ctx, r.Space.Initial, t, rates)
 }

@@ -1,6 +1,7 @@
 package mdcd
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -20,7 +21,7 @@ func TestRMNdNMatchesRMNdForTwoProcesses(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := ndn.NoFailureProbability(tt)
+		b, err := ndn.NoFailureProbability(context.Background(), tt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -49,7 +50,7 @@ func TestRMNdNSimultaneousUpgradesCompoundRisk(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := nd.NoFailureProbability(tEnd)
+		got, err := nd.NoFailureProbability(context.Background(), tEnd)
 		if err != nil {
 			t.Fatal(err)
 		}

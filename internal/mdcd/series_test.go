@@ -1,6 +1,7 @@
 package mdcd
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -30,7 +31,7 @@ func TestRMGdMeasuresSeriesMatchesPointwise(t *testing.T) {
 	phis := []float64{
 		7000, 1000, 0, 4000, 10000, 7000, 250, // unsorted, dup, endpoints
 	}
-	series, err := gd.MeasuresSeries(phis)
+	series, err := gd.MeasuresSeriesContext(context.Background(), phis)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +39,7 @@ func TestRMGdMeasuresSeriesMatchesPointwise(t *testing.T) {
 		t.Fatalf("got %d results for %d durations", len(series), len(phis))
 	}
 	for i, phi := range phis {
-		want, err := gd.Measures(phi)
+		want, err := gd.MeasuresContext(context.Background(), phi)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -64,31 +65,6 @@ func TestRMGdMeasuresSeriesMatchesPointwise(t *testing.T) {
 	}
 }
 
-func TestRMNdNoFailureSeriesMatchesPointwise(t *testing.T) {
-	p := DefaultParams()
-	for _, mu1 := range []float64{p.MuNew, p.MuOld} {
-		nd, err := BuildRMNd(p, mu1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ts := []float64{12000, 3000, 0, 20000, 12000}
-		series, err := nd.NoFailureProbabilitySeries(ts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, tt := range ts {
-			want, err := nd.NoFailureProbability(tt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			relClose(t, "P(no failure)", series[i], want, 1e-9)
-		}
-		if series[0] != series[4] {
-			t.Error("duplicate horizons differ")
-		}
-	}
-}
-
 // The block-diagonal stacked pair must reproduce both separate RMNd
 // solutions: stacking is exact by linearity (×0.5 on the initial
 // distribution and ×2 on the rewards are exact binary operations), so only
@@ -108,7 +84,7 @@ func TestRMNdPairMatchesSeparateModels(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts := []float64{8000, 1000, 0, 20000, 8000}
-	first, second, err := pair.NoFailureSeries(ts)
+	first, second, err := pair.NoFailureSeriesContext(context.Background(), ts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,12 +103,12 @@ func TestRMNdPairMatchesSeparateModels(t *testing.T) {
 	// The single-point call solves its horizon in one gap while the series
 	// propagated through intermediate points, so agreement is numerical,
 	// not bit-wise.
-	f1, s1, err := pair.NoFailure(8000)
+	f1, s1, err := pair.NoFailureSeriesContext(context.Background(), []float64{8000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	relClose(t, "single-point NoFailure (new)", f1, first[0], 1e-9)
-	relClose(t, "single-point NoFailure (old)", s1, second[0], 1e-9)
+	relClose(t, "single-point NoFailure (new)", f1[0], first[0], 1e-9)
+	relClose(t, "single-point NoFailure (old)", s1[0], second[0], 1e-9)
 }
 
 func TestRMNdPairValidation(t *testing.T) {

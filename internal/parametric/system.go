@@ -1,6 +1,7 @@
 package parametric
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -106,7 +107,7 @@ func NewSystem(p mdcd.Params, gd *mdcd.RMGd, ndNew, ndOld *mdcd.RMNd) (*System, 
 		}
 	}
 
-	if err := s.validateProbes(p, gd, ndNew, ndOld); err != nil {
+	if err := s.validateProbes(context.Background(), p, gd, ndNew, ndOld); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -178,7 +179,7 @@ func probeTol(scale float64) func(a, b float64) bool {
 // solve-then-project route the analyzer's numeric fallback takes — and
 // not the shared-propagation series engine, whose incremental error
 // accumulation (~3e-10 relative over a grid) would drown the comparison.
-func (s *System) validateProbes(p mdcd.Params, gd *mdcd.RMGd, ndNew, ndOld *mdcd.RMNd) error {
+func (s *System) validateProbes(ctx context.Context, p mdcd.Params, gd *mdcd.RMGd, ndNew, ndOld *mdcd.RMNd) error {
 	probes := []float64{0, p.Theta * 1e-3, p.Theta / 3, p.Theta * 2 / 3, p.Theta}
 
 	ch, init := gd.Space.Chain, gd.Space.Initial
@@ -189,11 +190,11 @@ func (s *System) validateProbes(p mdcd.Params, gd *mdcd.RMGd, ndNew, ndOld *mdcd
 		if gerr != nil {
 			return fmt.Errorf("%w: RMGd at phi=%g: %v", ErrValidation, phi, gerr)
 		}
-		pi, serr := ch.Transient(init, phi)
+		pi, serr := ch.TransientContext(ctx, init, phi)
 		if serr != nil {
 			return fmt.Errorf("parametric: probe solve (RMGd) at phi=%g: %w", phi, serr)
 		}
-		acc, serr := ch.Accumulated(init, phi)
+		acc, serr := ch.AccumulatedContext(ctx, init, phi)
 		if serr != nil {
 			return fmt.Errorf("parametric: probe solve (RMGd) at phi=%g: %w", phi, serr)
 		}

@@ -82,15 +82,6 @@ func (s *ImpulseStructure) rateVector(sp *statespace.Space) []float64 {
 	return rates
 }
 
-// AccumulatedImpulse returns the expected total impulse reward earned over
-// [0, t] — for unit impulses, the expected number of activity completions.
-func AccumulatedImpulse(sp *statespace.Space, s *ImpulseStructure, t float64) (float64, error) {
-	if sp == nil {
-		return 0, errNilSpace
-	}
-	return sp.Chain.AccumulatedReward(sp.Initial, t, s.rateVector(sp))
-}
-
 // SteadyStateImpulseRate returns the long-run impulse reward rate (per unit
 // time) — for unit impulses, the long-run completion frequency of the
 // selected activities.

@@ -25,21 +25,6 @@ func poissonCounter(t *testing.T, r float64) *statespace.Space {
 	return sp
 }
 
-func TestAccumulatedImpulseCountsPoissonEvents(t *testing.T) {
-	r := 3.5
-	sp := poissonCounter(t, r)
-	is := NewImpulseStructure().Add("tick", 1)
-	for _, tt := range []float64{0, 1, 10} {
-		got, err := AccumulatedImpulse(sp, is, tt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(got-r*tt) > 1e-9 {
-			t.Errorf("E[N(%v)] = %v, want %v", tt, got, r*tt)
-		}
-	}
-}
-
 func TestImpulseSelfLoopRetainedInTransitions(t *testing.T) {
 	sp := poissonCounter(t, 2)
 	if len(sp.Transitions) != 1 {
@@ -87,18 +72,18 @@ func TestImpulseWeightsAndGating(t *testing.T) {
 	is := NewImpulseStructure().
 		AddWhen("tick", 2.5, func(int, *statespace.Space) bool { return true }).
 		AddWhen("tick", 100, func(int, *statespace.Space) bool { return false })
-	got, err := AccumulatedImpulse(sp, is, 2)
+	got, err := SteadyStateImpulseRate(sp, is)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(got-2.5*4*2) > 1e-9 {
-		t.Errorf("gated impulse = %v, want %v", got, 2.5*4*2)
+	if math.Abs(got-2.5*4) > 1e-9 {
+		t.Errorf("gated impulse rate = %v, want %v", got, 2.5*4)
 	}
 }
 
 func TestImpulseUnknownActivityIsZero(t *testing.T) {
 	sp := poissonCounter(t, 4)
-	got, err := AccumulatedImpulse(sp, NewImpulseStructure().Add("nonexistent", 1), 5)
+	got, err := SteadyStateImpulseRate(sp, NewImpulseStructure().Add("nonexistent", 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,9 +94,6 @@ func TestImpulseUnknownActivityIsZero(t *testing.T) {
 
 func TestImpulseNilSpaceAndNilPredicate(t *testing.T) {
 	is := NewImpulseStructure().Add("x", 1)
-	if _, err := AccumulatedImpulse(nil, is, 1); err == nil {
-		t.Error("nil space accepted")
-	}
 	if _, err := SteadyStateImpulseRate(nil, is); err == nil {
 		t.Error("nil space accepted")
 	}

@@ -1,6 +1,7 @@
 package reward
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -55,7 +56,7 @@ func TestInstantOfTimeMatchesAnalytic(t *testing.T) {
 	sp, _, p1 := buildCycle(t, a, b)
 	s := NewStructure().Add("inP1", func(mk san.Marking) bool { return mk.Get(p1) == 1 }, 1)
 	for _, tt := range []float64{0, 0.1, 1, 10} {
-		got, err := InstantOfTime(sp, s, tt)
+		got, err := InstantOfTime(context.Background(), sp, s, tt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,7 +74,7 @@ func TestAccumulatedMatchesAnalytic(t *testing.T) {
 	tt := 3.0
 	sum := a + b
 	want := a/sum*tt - a/(sum*sum)*(1-math.Exp(-sum*tt))
-	got, err := Accumulated(sp, s, tt)
+	got, err := Accumulated(context.Background(), sp, s, tt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +99,7 @@ func TestSteadyStateMatchesAnalytic(t *testing.T) {
 
 func TestStateProbability(t *testing.T) {
 	sp, p0, _ := buildCycle(t, 1, 1)
-	got, err := StateProbability(sp, func(mk san.Marking) bool { return mk.Get(p0) == 1 }, 0)
+	got, err := StateProbability(context.Background(), sp, func(mk san.Marking) bool { return mk.Get(p0) == 1 }, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,10 +110,10 @@ func TestStateProbability(t *testing.T) {
 
 func TestNilSpaceRejected(t *testing.T) {
 	s := NewStructure()
-	if _, err := InstantOfTime(nil, s, 1); err == nil {
+	if _, err := InstantOfTime(context.Background(), nil, s, 1); err == nil {
 		t.Error("InstantOfTime accepted nil space")
 	}
-	if _, err := Accumulated(nil, s, 1); err == nil {
+	if _, err := Accumulated(context.Background(), nil, s, 1); err == nil {
 		t.Error("Accumulated accepted nil space")
 	}
 	if _, err := SteadyState(nil, s); err == nil {
@@ -122,7 +123,7 @@ func TestNilSpaceRejected(t *testing.T) {
 
 func TestEmptyStructureIsZero(t *testing.T) {
 	sp, _, _ := buildCycle(t, 1, 1)
-	got, err := InstantOfTime(sp, NewStructure(), 5)
+	got, err := InstantOfTime(context.Background(), sp, NewStructure(), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,64 +148,4 @@ func TestNegativeRatePairs(t *testing.T) {
 		t.Errorf("steady reward = %v, want 0.5", got)
 	}
 	_ = p0
-}
-
-func TestAccumulatedInterval(t *testing.T) {
-	a, b := 2.0, 5.0
-	sp, _, p1 := buildCycle(t, a, b)
-	s := NewStructure().Add("inP1", func(mk san.Marking) bool { return mk.Get(p1) == 1 }, 1)
-	t1, t2 := 1.0, 3.0
-	full, err := Accumulated(sp, s, t2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	head, err := Accumulated(sp, s, t1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := AccumulatedInterval(sp, s, t1, t2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got-(full-head)) > 1e-12 {
-		t.Errorf("interval = %v, want %v", got, full-head)
-	}
-	if _, err := AccumulatedInterval(sp, s, 3, 1); err == nil {
-		t.Error("reversed interval accepted")
-	}
-	if _, err := AccumulatedInterval(nil, s, 0, 1); err == nil {
-		t.Error("nil space accepted")
-	}
-	zeroAnchor, err := AccumulatedInterval(sp, s, 0, t2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(zeroAnchor-full) > 1e-12 {
-		t.Errorf("zero-anchored interval = %v, want %v", zeroAnchor, full)
-	}
-}
-
-func TestUntilAbsorption(t *testing.T) {
-	// One-way model: p0 --(rate 4)--> p1 (absorbing). Expected time with
-	// reward 1 on p0 is 1/4.
-	m := san.NewModel("oneway")
-	p0 := m.AddPlace("p0", 1)
-	p1 := m.AddPlace("p1", 0)
-	act := m.AddTimedActivity("go", san.ConstRate(4)).AddInputArc(p0, 1)
-	act.AddCase(san.ConstProb(1)).AddOutputArc(p1, 1)
-	sp, err := statespace.Generate(m, statespace.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := NewStructure().Add("inP0", func(mk san.Marking) bool { return mk.Get(p0) == 1 }, 1)
-	got, err := UntilAbsorption(sp, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got-0.25) > 1e-12 {
-		t.Errorf("lifetime reward = %v, want 0.25", got)
-	}
-	if _, err := UntilAbsorption(nil, s); err == nil {
-		t.Error("nil space accepted")
-	}
 }

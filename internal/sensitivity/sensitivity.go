@@ -11,6 +11,7 @@
 package sensitivity
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -111,7 +112,7 @@ func (o Options) withDefaults(theta float64) Options {
 
 // Analyze perturbs each parameter by ±RelDelta, re-optimises φ, and returns
 // per-parameter sensitivities sorted by descending |YElasticity|.
-func Analyze(p mdcd.Params, opts Options) ([]Result, error) {
+func Analyze(ctx context.Context, p mdcd.Params, opts Options) ([]Result, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -129,7 +130,7 @@ func Analyze(p mdcd.Params, opts Options) ([]Result, error) {
 		// Scale the φ tolerance with the (possibly perturbed) horizon so a
 		// θ perturbation searches at the same relative resolution.
 		opt.Tolerance = opts.Optimize.Tolerance * params.Theta / p.Theta
-		best, err := a.OptimizePhi(opt)
+		best, err := a.OptimizePhiContext(ctx, opt)
 		if err != nil {
 			return 0, 0, err
 		}

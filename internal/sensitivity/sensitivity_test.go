@@ -1,6 +1,7 @@
 package sensitivity
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -8,7 +9,7 @@ import (
 )
 
 func TestAnalyzeRanksCoverageAndFaultRateHighest(t *testing.T) {
-	results, err := Analyze(mdcd.DefaultParams(), Options{})
+	results, err := Analyze(context.Background(), mdcd.DefaultParams(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +52,7 @@ func TestAnalyzeRanksCoverageAndFaultRateHighest(t *testing.T) {
 func TestAnalyzeFaultRateShiftsPhi(t *testing.T) {
 	// Fig. 9: smaller mu_new favours shorter guarding, so phi* must grow
 	// with mu_new: UpPhi > DownPhi.
-	results, err := Analyze(mdcd.DefaultParams(), Options{
+	results, err := Analyze(context.Background(), mdcd.DefaultParams(), Options{
 		RelDelta:   0.3,
 		Parameters: []Parameter{MuNew},
 	})
@@ -65,7 +66,7 @@ func TestAnalyzeFaultRateShiftsPhi(t *testing.T) {
 }
 
 func TestAnalyzeSubsetAndDelta(t *testing.T) {
-	results, err := Analyze(mdcd.DefaultParams(), Options{
+	results, err := Analyze(context.Background(), mdcd.DefaultParams(), Options{
 		RelDelta:   0.05,
 		Parameters: []Parameter{Coverage, MuNew},
 	})
@@ -88,13 +89,13 @@ func TestAnalyzeSubsetAndDelta(t *testing.T) {
 func TestAnalyzeValidation(t *testing.T) {
 	bad := mdcd.DefaultParams()
 	bad.Lambda = -1
-	if _, err := Analyze(bad, Options{}); err == nil {
+	if _, err := Analyze(context.Background(), bad, Options{}); err == nil {
 		t.Error("invalid params accepted")
 	}
-	if _, err := Analyze(mdcd.DefaultParams(), Options{RelDelta: 1.5}); err == nil {
+	if _, err := Analyze(context.Background(), mdcd.DefaultParams(), Options{RelDelta: 1.5}); err == nil {
 		t.Error("RelDelta >= 1 accepted")
 	}
-	if _, err := Analyze(mdcd.DefaultParams(), Options{Parameters: []Parameter{"bogus"}}); err == nil {
+	if _, err := Analyze(context.Background(), mdcd.DefaultParams(), Options{Parameters: []Parameter{"bogus"}}); err == nil {
 		t.Error("unknown parameter accepted")
 	}
 }

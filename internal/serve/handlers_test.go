@@ -65,7 +65,7 @@ func TestCurveHappyPathAndResponseCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, i := range []int{0, 4, 8} {
-		want, err := a.Evaluate(resp.Results[i].Phi)
+		want, err := a.EvaluateContext(context.Background(), resp.Results[i].Phi)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,7 +120,7 @@ func TestCurveParametricDefault(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, i := range []int{0, 4, 8} {
-		want, err := a.Evaluate(resp.Results[i].Phi)
+		want, err := a.EvaluateContext(context.Background(), resp.Results[i].Phi)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -185,7 +185,7 @@ func TestPropagateHappyPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := mdcd.DefaultParams()
-	want, err := uncertainty.Propagate(p, uncertainty.Gamma{Shape: 2, Rate: 2 / p.MuNew},
+	want, err := uncertainty.PropagateContext(context.Background(), p, uncertainty.Gamma{Shape: 2, Rate: 2 / p.MuNew},
 		uncertainty.PropagateOptions{Samples: 6, Seed: 3, GridPoints: 8, Workers: 2})
 	if err != nil {
 		t.Fatal(err)

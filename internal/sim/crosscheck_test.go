@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -28,7 +29,7 @@ func TestSimulationAgreesWithTranslation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, phi := range []float64{200, 500, 800} {
-		ana, err := analyzer.Evaluate(phi)
+		ana, err := analyzer.EvaluateContext(context.Background(), phi)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,7 +78,7 @@ func TestGammaTreatmentsAgreeApproximately(t *testing.T) {
 		t.Fatal(err)
 	}
 	phi := 700.0
-	ana, err := analyzer.Evaluate(phi)
+	ana, err := analyzer.EvaluateContext(context.Background(), phi)
 	if err != nil {
 		t.Fatal(err)
 	}

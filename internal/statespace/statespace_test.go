@@ -1,6 +1,7 @@
 package statespace
 
 import (
+	"context"
 	"errors"
 
 	"guardedop/internal/ctmc"
@@ -36,7 +37,7 @@ func TestGenerateTwoStateCycle(t *testing.T) {
 		t.Errorf("initial distribution sums to %v", sparse.Sum(sp.Initial))
 	}
 	// Transient solution should match the analytic two-state chain.
-	pi, err := sp.Chain.Transient(sp.Initial, 0.5)
+	pi, err := sp.Chain.TransientContext(context.Background(), sp.Initial, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}

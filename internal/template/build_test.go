@@ -47,11 +47,11 @@ func TestPaperSpecReproducesYCurve(t *testing.T) {
 		t.Fatalf("SweepGrid returned %d points, want at least 50", len(phis))
 	}
 	for _, phi := range phis {
-		want, err := hand.Evaluate(phi)
+		want, err := hand.EvaluateContext(context.Background(), phi)
 		if err != nil {
 			t.Fatalf("handwritten Evaluate(%g): %v", phi, err)
 		}
-		got, err := scen.Evaluate(phi)
+		got, err := scen.EvaluateContext(context.Background(), phi)
 		if err != nil {
 			t.Fatalf("scenario Evaluate(%g): %v", phi, err)
 		}
@@ -75,7 +75,7 @@ func TestPolicyCurvesOrdered(t *testing.T) {
 			spec.Guard.Retries = 2
 		}
 		_, ana := scenarioAnalyzer(t, spec, core.Options{})
-		res, err := ana.Evaluate(spec.Theta / 20)
+		res, err := ana.EvaluateContext(context.Background(), spec.Theta/20)
 		if err != nil {
 			t.Fatalf("%s: Evaluate: %v", policy, err)
 		}
@@ -90,7 +90,7 @@ func TestPolicyCurvesOrdered(t *testing.T) {
 	spec := template.PaperSpec()
 	spec.Guard = template.GuardSpec{Policy: template.PolicyPerNode}
 	_, ana := scenarioAnalyzer(t, spec, core.Options{})
-	res, err := ana.Evaluate(spec.Theta / 20)
+	res, err := ana.EvaluateContext(context.Background(), spec.Theta/20)
 	if err != nil {
 		t.Fatalf("per-node Evaluate: %v", err)
 	}
@@ -186,7 +186,7 @@ func TestScaledScenarios(t *testing.T) {
 				t.Fatalf("NewScenarioAnalyzer: %v", err)
 			}
 			for _, frac := range []float64{0.02, 0.1, 0.5} {
-				res, err := ana.Evaluate(frac * tc.spec.Theta)
+				res, err := ana.EvaluateContext(context.Background(), frac*tc.spec.Theta)
 				if err != nil {
 					t.Fatalf("Evaluate(%g·θ): %v", frac, err)
 				}

@@ -35,7 +35,7 @@ func withFailingAnalyzer(t *testing.T, failEvery int) *atomic.Int64 {
 func TestPropagateSkipsFailedDraws(t *testing.T) {
 	withFailingAnalyzer(t, 4) // every 4th draw fails (25%)
 	p := mdcd.DefaultParams()
-	prop, err := Propagate(p, Gamma{Shape: 4, Rate: 4e4}, PropagateOptions{Samples: 24, Seed: 7, GridPoints: 6})
+	prop, err := PropagateContext(context.Background(), p, Gamma{Shape: 4, Rate: 4e4}, PropagateOptions{Samples: 24, Seed: 7, GridPoints: 6})
 	if err != nil {
 		t.Fatalf("propagation with 25%% failures aborted: %v", err)
 	}
@@ -61,7 +61,7 @@ func TestPropagateSkipsFailedDraws(t *testing.T) {
 
 func TestPropagateFailsWhenMajorityOfDrawsDie(t *testing.T) {
 	withFailingAnalyzer(t, 1) // every draw fails
-	_, err := Propagate(mdcd.DefaultParams(), Gamma{Shape: 4, Rate: 4e4},
+	_, err := PropagateContext(context.Background(), mdcd.DefaultParams(), Gamma{Shape: 4, Rate: 4e4},
 		PropagateOptions{Samples: 10, Seed: 7, GridPoints: 4})
 	if !errors.Is(err, robust.ErrTooManyFailures) {
 		t.Fatalf("err = %v, want ErrTooManyFailures", err)
@@ -85,14 +85,14 @@ func TestPropagateParallelMatchesSequential(t *testing.T) {
 	p := mdcd.DefaultParams()
 	posterior := Gamma{Shape: 4, Rate: 4e4}
 	base := PropagateOptions{Samples: 16, Seed: 5, GridPoints: 5, Workers: 1}
-	seq, err := Propagate(p, posterior, base)
+	seq, err := PropagateContext(context.Background(), p, posterior, base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{0, 4} {
 		opts := base
 		opts.Workers = workers
-		par, err := Propagate(p, posterior, opts)
+		par, err := PropagateContext(context.Background(), p, posterior, opts)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -119,7 +119,7 @@ func TestPropagateDrawsPairing(t *testing.T) {
 	withFailingAnalyzer(t, 4)
 	p := mdcd.DefaultParams()
 	opts := PropagateOptions{Samples: 16, Seed: 7, GridPoints: 5}
-	prop, err := Propagate(p, Gamma{Shape: 4, Rate: 4e4}, opts)
+	prop, err := PropagateContext(context.Background(), p, Gamma{Shape: 4, Rate: 4e4}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,13 +199,13 @@ func TestPropagateNegativeSurvivalFractionDisablesFloor(t *testing.T) {
 	opts := PropagateOptions{Samples: 16, Seed: 7, GridPoints: 4}
 
 	failAllBut(t, 4, opts.Samples) // 25% survival: below the default floor
-	if _, err := Propagate(p, posterior, opts); !errors.Is(err, robust.ErrTooManyFailures) {
+	if _, err := PropagateContext(context.Background(), p, posterior, opts); !errors.Is(err, robust.ErrTooManyFailures) {
 		t.Fatalf("zero (default) floor accepted 25%% survival: err = %v", err)
 	}
 
 	failAllBut(t, 4, opts.Samples)
 	opts.MinSurvivalFraction = -1
-	prop, err := Propagate(p, posterior, opts)
+	prop, err := PropagateContext(context.Background(), p, posterior, opts)
 	if err != nil {
 		t.Fatalf("disabled floor rejected 25%% survival: %v", err)
 	}
@@ -215,7 +215,7 @@ func TestPropagateNegativeSurvivalFractionDisablesFloor(t *testing.T) {
 
 	// Even with the floor disabled, zero survivors cannot stand.
 	withFailingAnalyzer(t, 1)
-	if _, err := Propagate(p, posterior, opts); !errors.Is(err, robust.ErrTooManyFailures) {
+	if _, err := PropagateContext(context.Background(), p, posterior, opts); !errors.Is(err, robust.ErrTooManyFailures) {
 		t.Fatalf("zero survivors accepted with disabled floor: err = %v", err)
 	}
 }
@@ -225,11 +225,11 @@ func TestPropagateNegativeSurvivalFractionDisablesFloor(t *testing.T) {
 func TestPropagateSeedZeroIsDocumentedDefault(t *testing.T) {
 	p := mdcd.DefaultParams()
 	posterior := Gamma{Shape: 4, Rate: 4e4}
-	zero, err := Propagate(p, posterior, PropagateOptions{Samples: 8, GridPoints: 4})
+	zero, err := PropagateContext(context.Background(), p, posterior, PropagateOptions{Samples: 8, GridPoints: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	one, err := Propagate(p, posterior, PropagateOptions{Samples: 8, Seed: 1, GridPoints: 4})
+	one, err := PropagateContext(context.Background(), p, posterior, PropagateOptions{Samples: 8, Seed: 1, GridPoints: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,12 +243,12 @@ func TestPropagateDeterministicAcrossFailures(t *testing.T) {
 	// and a run with failures share the surviving draws.
 	p := mdcd.DefaultParams()
 	opts := PropagateOptions{Samples: 12, Seed: 3, GridPoints: 4}
-	clean, err := Propagate(p, Gamma{Shape: 4, Rate: 4e4}, opts)
+	clean, err := PropagateContext(context.Background(), p, Gamma{Shape: 4, Rate: 4e4}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	withFailingAnalyzer(t, 3)
-	partial, err := Propagate(p, Gamma{Shape: 4, Rate: 4e4}, opts)
+	partial, err := PropagateContext(context.Background(), p, Gamma{Shape: 4, Rate: 4e4}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -119,13 +119,6 @@ type Propagation struct {
 // can inject solver failures.
 var newAnalyzer = core.NewAnalyzerWithOptions
 
-// Propagate draws µ_new from the posterior, evaluates the Y(φ) curve for
-// each draw, and aggregates the optimal-duration distribution together
-// with the robust (posterior-expected-Y) duration choice.
-func Propagate(p mdcd.Params, posterior Gamma, opts PropagateOptions) (*Propagation, error) {
-	return PropagateContext(context.Background(), p, posterior, opts)
-}
-
 // sampleEval is the per-draw outcome fed to the aggregation step.
 type sampleEval struct {
 	mu      float64
@@ -134,10 +127,13 @@ type sampleEval struct {
 	bestY   float64
 }
 
-// PropagateContext is Propagate with cancellation support and
-// fault-tolerant sampling: a posterior draw whose model evaluation fails
-// (degenerate rate, invariant violation, non-finite solve) is skipped and
-// recorded in the result's Report instead of aborting the run. The call
+// PropagateContext draws µ_new from the posterior, evaluates the Y(φ)
+// curve for each draw, and aggregates the optimal-duration distribution
+// together with the robust (posterior-expected-Y) duration choice. It
+// supports cancellation and samples fault-tolerantly: a posterior draw
+// whose model evaluation fails (degenerate rate, invariant violation,
+// non-finite solve) is skipped and recorded in the result's Report
+// instead of aborting the run. The call
 // errors only when the context is canceled or too few draws survive —
 // fewer than opts.MinSurvivalFraction, or none at all with the floor
 // disabled (both wrapping robust.ErrTooManyFailures).

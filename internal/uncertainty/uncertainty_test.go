@@ -1,6 +1,7 @@
 package uncertainty
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"sort"
@@ -133,7 +134,7 @@ func TestPropagateDecisionStructure(t *testing.T) {
 	// Posterior centred near the Table 3 rate with a factor-ish spread:
 	// Gamma(4, 4e4) has mean 1e-4 and CV 0.5.
 	posterior := Gamma{Shape: 4, Rate: 4e4}
-	prop, err := Propagate(p, posterior, PropagateOptions{Samples: 60, Seed: 5, GridPoints: 10})
+	prop, err := PropagateContext(context.Background(), p, posterior, PropagateOptions{Samples: 60, Seed: 5, GridPoints: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,11 +162,11 @@ func TestPropagateDecisionStructure(t *testing.T) {
 func TestPropagateDeterministic(t *testing.T) {
 	p := mdcd.DefaultParams()
 	posterior := Gamma{Shape: 4, Rate: 4e4}
-	a, err := Propagate(p, posterior, PropagateOptions{Samples: 20, Seed: 9})
+	a, err := PropagateContext(context.Background(), p, posterior, PropagateOptions{Samples: 20, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Propagate(p, posterior, PropagateOptions{Samples: 20, Seed: 9})
+	b, err := PropagateContext(context.Background(), p, posterior, PropagateOptions{Samples: 20, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,15 +177,15 @@ func TestPropagateDeterministic(t *testing.T) {
 
 func TestPropagateValidation(t *testing.T) {
 	p := mdcd.DefaultParams()
-	if _, err := Propagate(p, Gamma{}, PropagateOptions{}); err == nil {
+	if _, err := PropagateContext(context.Background(), p, Gamma{}, PropagateOptions{}); err == nil {
 		t.Error("invalid posterior accepted")
 	}
-	if _, err := Propagate(p, Gamma{Shape: 1, Rate: 1}, PropagateOptions{Samples: 1}); err == nil {
+	if _, err := PropagateContext(context.Background(), p, Gamma{Shape: 1, Rate: 1}, PropagateOptions{Samples: 1}); err == nil {
 		t.Error("single sample accepted")
 	}
 	bad := p
 	bad.Theta = -1
-	if _, err := Propagate(bad, Gamma{Shape: 1, Rate: 1e4}, PropagateOptions{}); err == nil {
+	if _, err := PropagateContext(context.Background(), bad, Gamma{Shape: 1, Rate: 1e4}, PropagateOptions{}); err == nil {
 		t.Error("invalid params accepted")
 	}
 }
@@ -198,12 +199,12 @@ func TestPropagateParametricMatchesNumeric(t *testing.T) {
 	p := mdcd.DefaultParams()
 	posterior := Gamma{Shape: 4, Rate: 4e4}
 	opts := PropagateOptions{Samples: 30, Seed: 5, GridPoints: 10}
-	numeric, err := Propagate(p, posterior, opts)
+	numeric, err := PropagateContext(context.Background(), p, posterior, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts.Parametric = core.ParametricAuto
-	par, err := Propagate(p, posterior, opts)
+	par, err := PropagateContext(context.Background(), p, posterior, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
